@@ -11,7 +11,9 @@ Solving a game through a separating automaton has two interchangeable
 implementations: an object-level one that builds the product game explicitly
 (inspectable, exportable to DOT) and a flat numpy pipeline that breadth-first
 explores integer-coded product states (used once products outgrow desk
-scale).  Both reduce to the same safety solver.
+scale).  The flat pipeline gives each reached product state a compact id, so
+its arrays grow with the reached product rather than with vertices times
+automaton states.  Both reduce to the same safety solver.
 """
 
 from __future__ import annotations
@@ -349,7 +351,10 @@ def _solve_flat(game: Game, aut: SafetyAutomaton, roots: Sequence[int]):
     """Solve the chained game without materializing python objects.
 
     Product states are coded ``v * state_count + q``; the losing sink gets the
-    one-past-the-end code.  Returns (per-root win flags, stats dict).
+    one-past-the-end code.  Each reached code gets an int32 id in discovery
+    order through one dense code -> id map, and every later array is indexed
+    by id, so it grows with the reached product rather than with the code
+    range.  Returns (per-root win flags, stats dict).
     """
     g = game.graph
     n, nq = g.vertex_count, aut.state_count
@@ -363,68 +368,85 @@ def _solve_flat(game: Game, aut: SafetyAutomaton, roots: Sequence[int]):
     order = np.argsort(esrc, kind="stable")
     gdst = g._dst_array[order]
     gcid = np.fromiter((cid[g.edges[i][1]] for i in order), dtype=np.int64, count=len(order))
-    gptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(esrc, minlength=n), out=gptr[1:])
+    # vertex n stands for the sink and has no edges
+    gptr = np.zeros(n + 2, dtype=np.int64)
+    np.cumsum(np.bincount(esrc, minlength=n), out=gptr[1 : n + 1])
+    gptr[n + 1] = gptr[n]
 
-    table = np.full((nq, max(ncol, 1)), -2, dtype=np.int64)
+    table = np.full(nq * ncol, -2, dtype=np.int32)
     built = np.zeros(nq, dtype=bool)
+    row_stamp = np.empty(nq, dtype=np.int64)
 
     def ensure_rows(states: np.ndarray) -> None:
-        for q in states[~built[states]]:
-            q = int(q)
-            row = table[q]
-            for ci, c in enumerate(colors):
-                t = aut.delta(q, c)
-                row[ci] = -1 if t is None else t
-            built[q] = True
+        states = states[~built[states]]
+        pos = np.arange(states.size)
+        row_stamp[states] = pos
+        states = states[row_stamp[states] == pos]
+        if states.size == 0:
+            return
+        delta = aut.delta
+        rows = [[-1 if (t := delta(q, c)) is None else t for c in colors] for q in states.tolist()]
+        table.reshape(nq, ncol)[states] = rows
+        built[states] = True
 
-    visited = np.zeros(bot + 1, dtype=bool)
+    # code -> id; -1 marks an unreached code.  While a level assigns ids, the
+    # codes it discovers hold -2 - (position in the level) as a stamp, so
+    # the occurrence whose stamp survives is the one that keeps its id.
+    ids = np.full(bot + 1, -1, dtype=np.int32)
+    codes: list = []
+    count = 0
+
+    def number(fresh: np.ndarray) -> None:
+        nonlocal count
+        pos = np.arange(fresh.size, dtype=np.int32)
+        ids[fresh] = -2 - pos
+        fresh = fresh[ids[fresh] == -2 - pos]
+        ids[fresh] = np.arange(count, count + fresh.size, dtype=np.int32)
+        codes.append(fresh)
+        count += fresh.size
+
     root_codes = np.array([v * nq + aut.initial for v in roots], dtype=np.int64)
-    frontier = np.unique(root_codes)
-    visited[frontier] = True
-    src_chunks: list = []
+    number(root_codes)
+    outdeg_chunks: list = []
     dst_chunks: list = []
     edge_total = 0
-    while frontier.size:
-        pairs = frontier[frontier < bot]
-        fv = pairs // nq
-        fq = pairs % nq
-        ensure_rows(np.unique(fq))
+    for level in codes:
+        # ``codes`` grows while this loop runs: one chunk per BFS level
+        fv = level // nq
+        fq = level - fv * nq
+        ensure_rows(fq[fv < n])
         starts = gptr[fv]
         lens = gptr[fv + 1] - starts
+        outdeg_chunks.append(lens)
         total = int(lens.sum())
         if total == 0:
-            break
-        offsets = np.repeat(np.cumsum(lens) - lens, lens)
-        idx = np.repeat(starts, lens) + (np.arange(total) - offsets)
-        src_rep = np.repeat(pairs, lens)
-        tq = table[np.repeat(fq, lens), gcid[idx]]
+            continue
+        idx = np.repeat(starts - np.cumsum(lens) + lens, lens) + np.arange(total)
+        tq = table[np.repeat(fq * ncol, lens) + gcid[idx]]
         tcode = np.where(tq >= 0, gdst[idx] * nq + tq, bot)
-        src_chunks.append(src_rep)
-        dst_chunks.append(tcode)
+        tid = ids[tcode]
+        unseen = tid < 0
+        if unseen.any():
+            fresh = tcode[unseen]
+            number(fresh)
+            tid[unseen] = ids[fresh]
+        dst_chunks.append(tid)
         edge_total += total
-        fresh = np.unique(tcode[~visited[tcode]])
-        visited[fresh] = True
-        frontier = fresh
 
-    if src_chunks:
-        all_src = np.concatenate(src_chunks)
-        all_dst = np.concatenate(dst_chunks)
-    else:
-        all_src = np.zeros(0, dtype=np.int64)
-        all_dst = np.zeros(0, dtype=np.int64)
-
+    root_ids = ids[root_codes]
+    del ids
     eve_game = np.fromiter((o is EVE for o in game.owner), dtype=bool, count=n)
-    eve_code = np.empty(bot + 1, dtype=bool)
-    eve_code[:bot] = np.repeat(eve_game, nq)
-    eve_code[bot] = True
-
-    outdeg = np.bincount(all_src, minlength=bot + 1)
-    seed = np.flatnonzero(visited & eve_code & (outdeg == 0))
-    attracted = _attract(bot + 1, all_src, all_dst, eve_code, seed)
-    wins = ~attracted[root_codes]
+    eve = np.append(eve_game, True)[np.concatenate(codes) // nq]
+    del codes
+    outdeg = np.concatenate(outdeg_chunks)
+    del outdeg_chunks
+    srcs = np.repeat(np.arange(count, dtype=np.int32), outdeg)
+    dsts = np.concatenate(dst_chunks) if dst_chunks else np.zeros(0, dtype=np.int32)
+    del dst_chunks
+    seed = np.flatnonzero(eve & (outdeg == 0)).astype(np.int32)
+    wins = ~_attract(count, srcs, dsts, eve, seed)[root_ids]
     stats = {
-        "product_states": int(visited.sum()),
+        "product_states": count,
         "product_edges": edge_total,
         "automaton_states": nq,
     }

@@ -11,7 +11,7 @@ end of line) with a canonical line layout::
     edge 0 1 -1             # color arity: 0 / 1 / 1 / 2 / d respectively
 
 Exit codes: 0 success, 2 parse error, 3 invariant violation, 4 oracle guard
-exceeded.
+exceeded or out of memory.
 """
 
 from __future__ import annotations
@@ -550,6 +550,9 @@ def cli(argv: Optional[Sequence[str]] = None) -> int:
     except GuardExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except MemoryError:
+        print("error: out of memory (instance too large)", file=sys.stderr)
+        return 4
     except (InvalidGameError, AlphabetMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -557,3 +560,7 @@ def cli(argv: Optional[Sequence[str]] = None) -> int:
 
 def main() -> None:
     sys.exit(cli())
+
+
+if __name__ == "__main__":
+    main()

@@ -49,57 +49,77 @@ def _attract(vertex_count: int, srcs, dsts, eve_mask, seed) -> np.ndarray:
     Every absorbed vertex has its predecessor list scanned exactly once:
     small frontiers are drained with a plain worklist, large ones with one
     vectorized sweep per level (same fixpoint either way).
+
+    Edge arrays keep the caller's integer dtype.  An Adam vertex is treated
+    as an Eve vertex that needs a single edge into the set: its counter
+    starts at 1.  No per-level step touches all ``vertex_count`` entries: a
+    level dedupes its predecessors through ``stamp``, which records, per
+    vertex, the position of one of its occurrences in the level.
     """
     x = np.zeros(vertex_count, dtype=bool)
-    seed = np.unique(np.asarray(seed, dtype=np.int64))
+    seed = np.asarray(seed)
     if seed.size == 0:
         return x
     x[seed] = True
 
-    srcs = np.asarray(srcs, dtype=np.int64)
-    dsts = np.asarray(dsts, dtype=np.int64)
-    counter = np.bincount(srcs, minlength=vertex_count).astype(np.int64)
+    srcs = np.asarray(srcs)
+    dsts = np.asarray(dsts)
+    counter = np.bincount(srcs, minlength=vertex_count)
+    counter[~np.asarray(eve_mask, dtype=bool)] = 1
 
-    # CSR over predecessors: preds of v are pred_src[ptr[v]:ptr[v+1]]
-    order = np.argsort(dsts, kind="stable")
-    pred_src = srcs[order]
+    # CSR over predecessors: preds of v are pred_src[ptr[v]:ptr[v+1]].  One
+    # value sort of (dst << 32 | src) keys groups them; the order inside a
+    # group does not matter to the fixpoint.
+    keys = dsts.astype(np.int64)
+    keys <<= 32
+    keys |= srcs
+    keys.sort()
+    keys &= 0xFFFFFFFF
+    pred_src = keys.astype(srcs.dtype)
+    del keys
     ptr = np.zeros(vertex_count + 1, dtype=np.int64)
     np.cumsum(np.bincount(dsts, minlength=vertex_count), out=ptr[1:])
+    stamp = np.empty(vertex_count, dtype=np.int64)
 
-    pending = seed.tolist()
-    while pending:
+    pending = np.flatnonzero(x)
+    while len(pending):
         if len(pending) <= _SMALL_FRONTIER:
+            if not isinstance(pending, list):
+                pending = pending.tolist()
             v = pending.pop()
             for u in pred_src[ptr[v] : ptr[v + 1]].tolist():
                 if x[u]:
                     continue
-                if eve_mask[u]:
-                    counter[u] -= 1
-                    if counter[u] > 0:
-                        continue
+                counter[u] -= 1
+                if counter[u] > 0:
+                    continue
                 x[u] = True
                 pending.append(u)
             continue
-        frontier = np.array(pending, dtype=np.int64)
+        frontier = np.asarray(pending)
         pending = []
         starts = ptr[frontier]
         lens = ptr[frontier + 1] - starts
-        total = int(lens.sum())
+        ends = np.cumsum(lens)
+        total = int(ends[-1])
         if total == 0:
             continue
         # gather all predecessor slices in one shot
-        offsets = np.repeat(np.cumsum(lens) - lens, lens)
-        idx = np.repeat(starts, lens) + (np.arange(total) - offsets)
+        idx = np.repeat(starts - ends + lens, lens) + np.arange(total)
         preds = pred_src[idx]
         preds = preds[~x[preds]]
-        is_eve = eve_mask[preds]
-        adam_new = np.unique(preds[~is_eve])
-        eve_preds = preds[is_eve]
-        np.subtract.at(counter, eve_preds, 1)
-        eve_new = np.unique(eve_preds[counter[eve_preds] <= 0])
-        fresh = np.concatenate([adam_new, eve_new])
-        x[fresh] = True
-        pending.extend(fresh.tolist())
+        if preds.size == 0:
+            continue
+        # one representative per distinct predecessor, charged with the
+        # number of the level's edges that lead from it into the set
+        pos = np.arange(preds.size)
+        stamp[preds] = pos
+        rep = stamp[preds]
+        first = rep == pos
+        uniq = preds[first]
+        counter[uniq] -= np.bincount(rep, minlength=preds.size)[first]
+        pending = uniq[counter[uniq] <= 0]
+        x[pending] = True
     return x
 
 

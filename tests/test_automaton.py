@@ -26,7 +26,7 @@ from sepgames import (
     sequential_product,
     solve_via_separating,
 )
-from sepgames.automaton import _solve_flat
+from sepgames.automaton import _OBJECT_PATH_LIMIT, _solve_flat
 from sepgames.frontend import build_separator, generate_game
 
 
@@ -268,6 +268,72 @@ def test_flat_and_object_paths_agree():
             flat_region = frozenset(v for v in range(n) if flags[v])
             assert flat_region == separating_winning_region(game, aut)
             assert stats["product_states"] <= n * aut.state_count + 1
+
+
+def _flat_region(game, aut):
+    n = game.vertex_count
+    assert n * aut.state_count > _OBJECT_PATH_LIMIT  # really the flat path
+    flags, _ = _solve_flat(game, aut, list(range(n)))
+    return frozenset(v for v in range(n) if flags[v])
+
+
+def test_flat_parity_matches_recursive_solver_above_object_limit():
+    from sepgames import Parity
+
+    rng = random.Random(731)
+    for n, d in ((60, 6), (40, 8), (100, 4)):
+        for _ in range(4):
+            game = generate_game(n, 1, 3, Parity(d), seed=rng.randrange(10**9))
+            aut = build_separator(game.objective, n)
+            assert _flat_region(game, aut) == refs.zielonka_region(game)
+
+
+def test_flat_parity_mp_with_negative_weights_is_parity_above_object_limit():
+    # every weight at -N makes every cycle negative, so only the parity
+    # component can win and the region is that of the parity projection
+    from sepgames import Parity, ParityOrMeanPayoff
+
+    rng = random.Random(732)
+    for n, d, N in ((16, 3, 1), (12, 4, 2)):
+        for _ in range(4):
+            base = generate_game(n, 1, 3, Parity(d), seed=rng.randrange(10**9))
+            game = Game(
+                Graph(n, tuple((u, (p, -N), v) for (u, p, v) in base.graph.edges)),
+                base.owner,
+                ParityOrMeanPayoff(d, N),
+            )
+            aut = build_separator(game.objective, n)
+            assert _flat_region(game, aut) == refs.zielonka_region(base)
+
+
+def _reached_pairs(game, aut, roots):
+    """Plain BFS count of the reached (vertex, state) pairs, plus the sink."""
+    seen = {(v, aut.initial) for v in roots}
+    queue = list(seen)
+    sink = False
+    while queue:
+        v, q = queue.pop()
+        for c, w in game.graph.successors[v]:
+            t = aut.delta(q, c)
+            if t is None:
+                sink = True
+            elif (w, t) not in seen:
+                seen.add((w, t))
+                queue.append((w, t))
+    return len(seen) + sink
+
+
+def test_flat_product_states_count_reached_pairs():
+    from sepgames import MeanPayoffDisjunction, Parity
+
+    rng = random.Random(733)
+    for objective, n in ((Parity(6), 60), (MeanPayoffDisjunction(2, 2), 80)):
+        game = generate_game(n, 1, 3, objective, seed=rng.randrange(10**9))
+        aut = build_separator(objective, n)
+        assert n * aut.state_count > _OBJECT_PATH_LIMIT
+        for roots in ([0], list(range(n))):
+            _, stats = _solve_flat(game, aut, roots)
+            assert stats["product_states"] == _reached_pairs(game, aut, roots)
 
 
 def test_parity_reduction_matches_recursive_solver_at_medium_scale():

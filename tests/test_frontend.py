@@ -1,5 +1,8 @@
 import io
+import os
 import random
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -237,6 +240,40 @@ def test_cli_guard_exit_code(tmp_path):
     f.write_text(print_game(game))
     code, _, err = _run_cli(["solve", "--input", str(f), "--from", "0", "--algo", "oracle"])
     assert code == 4 and "strategy space" in err
+
+
+def test_cli_out_of_memory_exit_code(tmp_path, monkeypatch):
+    from sepgames import automaton
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(automaton, "_solve_flat", exhausted)
+    game = generate_game(80, 1, 3, MeanPayoffDisjunction(2, 2), seed=4)
+    f = tmp_path / "big.game"
+    f.write_text(print_game(game))
+    for extra in ([], ["--region"]):
+        code, out, err = _run_cli(["solve", "--input", str(f), "--from", "0"] + extra)
+        assert code == 4 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_module_entry_points_solve(tmp_path):
+    import sepgames
+
+    f = tmp_path / "min.game"
+    f.write_text(MINIMAL)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sepgames.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for module in ("sepgames", "sepgames.frontend"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "solve", "--input", str(f), "--from", "0"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=120,
+        )
+        assert proc.returncode == 0 and proc.stdout.strip() == "WIN", (module, proc.stderr)
 
 
 def test_cli_automaton_stats_and_dot():

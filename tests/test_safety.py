@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -16,6 +18,7 @@ from sepgames import (
     adam_attractor,
     solve_safety,
 )
+from sepgames.safety import _SMALL_FRONTIER, _attract
 
 
 def _game(n, edges, owners):
@@ -106,6 +109,30 @@ def test_attractor_spreads_through_sink_heavy_game():
     game = _game(n, tuple(edges), owners)
     region = solve_safety(game)
     assert region.eve_wins == refs.naive_safety_region(game)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_attract_vectorized_levels_match_naive_fixpoint(dtype):
+    # a seed well above the worklist threshold sends the first levels through
+    # the vectorized branch; repeated edges and a shuffled edge order must
+    # not change the fixpoint
+    rng = random.Random(41)
+    for _ in range(4):
+        n = 1500
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(n, 3 * n))]
+        edges += rng.sample(edges, len(edges) // 4)
+        rng.shuffle(edges)
+        owners = tuple(rng.choice([EVE, ADAM]) for _ in range(n))
+        eve = np.array([o is EVE for o in owners])
+        outdeg = Counter(u for u, _ in edges)
+        sinks = [v for v in range(n) if owners[v] is EVE and outdeg[v] == 0]
+        target = sorted(set(rng.sample(range(n), 4 * _SMALL_FRONTIER) + sinks))
+        srcs = np.array([u for u, _ in edges], dtype=dtype)
+        dsts = np.array([v for _, v in edges], dtype=dtype)
+        x = _attract(n, srcs, dsts, eve, np.array(target, dtype=dtype))
+        assert x.dtype == bool and x.shape == (n,)
+        game = _game(n, tuple({(u, None, v) for u, v in edges}), owners)
+        assert frozenset(np.flatnonzero(x).tolist()) == refs.naive_attractor(game, target)
 
 
 def test_monotone_in_added_edges():
