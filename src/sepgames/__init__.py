@@ -53,14 +53,6 @@ from .core import (
     restrict_to_strategy,
     scc_decompose,
 )
-from .frontend import (
-    ParseError,
-    build_separator,
-    cli,
-    generate_game,
-    parse_game,
-    print_game,
-)
 from .oracle import (
     eve_winning_region_bruteforce,
     eve_wins_bruteforce,
@@ -80,3 +72,18 @@ from .separators import (
 )
 
 __version__ = "0.1.0"
+
+# The text format and CLI names resolve on first use, so that importing the
+# package does not import ``frontend``: ``python -m sepgames.frontend`` would
+# otherwise find that module already imported and warn.
+_FRONTEND_NAMES = frozenset(
+    {"ParseError", "build_separator", "cli", "generate_game", "parse_game", "print_game"}
+)
+
+
+def __getattr__(name: str):
+    if name in _FRONTEND_NAMES:
+        from . import frontend
+
+        return getattr(frontend, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

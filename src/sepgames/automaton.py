@@ -4,8 +4,10 @@ reduction.
 An automaton is a partial transition function over dense integer states; big
 generated families (tree-walking parity automata, bounded counters, their
 sequential chains) expose ``delta`` as a computed function rather than a
-table, so state spaces are never materialized beyond what a construction
-actually visits.
+table.  Each family also has a vectorized ``row_kernel`` that evaluates
+``delta`` for whole arrays of states at once (the parity one from
+per-priority leaf spans it tabulates on first use); the flat product fills
+its transition table with it in one pass before exploring.
 
 Solving a game through a separating automaton has two interchangeable
 implementations: an object-level one that builds the product game explicitly
@@ -13,13 +15,15 @@ implementations: an object-level one that builds the product game explicitly
 explores integer-coded product states (used once products outgrow desk
 scale).  The flat pipeline gives each reached product state a compact id, so
 its arrays grow with the reached product rather than with vertices times
-automaton states.  Both reduce to the same safety solver.
+automaton states; only its states x colors transition table is dense.  Both
+reduce to the same safety solver.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -60,6 +64,12 @@ __all__ = [
 # object pipeline; larger ones use the flat integer-coded solver
 _OBJECT_PATH_LIMIT = 50_000
 
+# states per row-kernel call when the flat path fills its transition table;
+# caps the kernels' temporaries at a few (chunk x colors) int64 arrays
+_FILL_CHUNK = 4096
+
+RowKernel = Callable[[Sequence[Color]], Callable[[np.ndarray], np.ndarray]]
+
 
 @dataclass(frozen=True, eq=False)
 class SafetyAutomaton:
@@ -71,7 +81,10 @@ class SafetyAutomaton:
     enumerates for one state a reduced set of ``(color, target)``
     representatives covering every behaviorally distinct transition with
     componentwise-minimal weights (used to keep induced graphs small for
-    vector alphabets).
+    vector alphabets).  ``row_kernel``, when present, is the vectorized
+    ``delta``: ``row_kernel(colors)`` returns a function mapping an int array
+    of k states to the (k, len(colors)) int array of their successors, -1
+    where ``delta`` is undefined.
     """
 
     state_count: int
@@ -81,6 +94,7 @@ class SafetyAutomaton:
     parts: Optional[tuple] = None
     outgoing: Optional[Callable[[int], Sequence[tuple[Color, Optional[int]]]]] = None
     state_label: Optional[Callable[[int], str]] = None
+    row_kernel: Optional[RowKernel] = None
 
     def __post_init__(self) -> None:
         if self.state_count < 1:
@@ -90,6 +104,16 @@ class SafetyAutomaton:
 
     def label(self, q: int) -> str:
         return self.state_label(q) if self.state_label else str(q)
+
+
+def _scalar_rows(delta: Callable, colors: Sequence[Color]) -> Callable[[np.ndarray], np.ndarray]:
+    """Row kernel of an automaton that has none: one ``delta`` call per entry."""
+
+    def rows(states: np.ndarray) -> np.ndarray:
+        table = [[-1 if (t := delta(q, c)) is None else t for c in colors] for q in states.tolist()]
+        return np.array(table, dtype=np.int64).reshape(len(states), len(colors))
+
+    return rows
 
 
 def _check_letters(alphabet: Objective, word: Iterable[Color]):
@@ -167,7 +191,8 @@ def _chain(blocks: tuple) -> SafetyAutomaton:
 
     The state set is the disjoint union of the blocks' states; a letter
     undefined in the current block jumps (consuming the letter) to the next
-    block's initial state, and is undefined only in the last block.
+    block's initial state, and is undefined only in the last block.  The
+    chain has a row kernel only if every block has one.
     """
     alphabet = blocks[0].alphabet
     for b in blocks[1:]:
@@ -205,6 +230,25 @@ def _chain(blocks: tuple) -> SafetyAutomaton:
         i = bisect.bisect_right(offsets, s) - 1
         return f"{i}:{blocks[i].label(s - offsets[i])}"
 
+    def row_kernel(colors: Sequence[Color]) -> Callable[[np.ndarray], np.ndarray]:
+        block_rows = [b.row_kernel(colors) for b in blocks]
+        starts = np.array(offsets, dtype=np.int64)
+        jumps = [-1 if t is None else t for t in jump_target]
+
+        def rows(states: np.ndarray) -> np.ndarray:
+            states = np.asarray(states, dtype=np.int64)
+            block = np.searchsorted(starts, states, side="right") - 1
+            order = np.argsort(block, kind="stable")
+            cuts = np.searchsorted(block[order], np.arange(len(blocks) + 1))
+            out = np.empty((states.size, len(colors)), dtype=np.int64)
+            for i in np.flatnonzero(cuts[1:] > cuts[:-1]).tolist():
+                sel = order[cuts[i] : cuts[i + 1]]
+                t = block_rows[i](states[sel] - offsets[i])
+                out[sel] = np.where(t >= 0, t + offsets[i], jumps[i])
+            return out
+
+        return rows
+
     return SafetyAutomaton(
         state_count=total,
         initial=blocks[0].initial,
@@ -213,6 +257,7 @@ def _chain(blocks: tuple) -> SafetyAutomaton:
         parts=blocks,
         outgoing=outgoing,
         state_label=state_label,
+        row_kernel=row_kernel if all(b.row_kernel for b in blocks) else None,
     )
 
 
@@ -351,10 +396,12 @@ def _solve_flat(game: Game, aut: SafetyAutomaton, roots: Sequence[int]):
     """Solve the chained game without materializing python objects.
 
     Product states are coded ``v * state_count + q``; the losing sink gets the
-    one-past-the-end code.  Each reached code gets an int32 id in discovery
-    order through one dense code -> id map, and every later array is indexed
-    by id, so it grows with the reached product rather than with the code
-    range.  Returns (per-root win flags, stats dict).
+    one-past-the-end code.  The automaton's transitions on the game's colors
+    are tabulated up front, through its row kernel when it has one.  Each
+    reached code gets an int32 id in discovery order through one dense
+    code -> id map, and every later array is indexed by id, so it grows with
+    the reached product rather than with the code range.  Returns (per-root
+    win flags, stats dict).
     """
     g = game.graph
     n, nq = g.vertex_count, aut.state_count
@@ -373,21 +420,14 @@ def _solve_flat(game: Game, aut: SafetyAutomaton, roots: Sequence[int]):
     np.cumsum(np.bincount(esrc, minlength=n), out=gptr[1 : n + 1])
     gptr[n + 1] = gptr[n]
 
-    table = np.full(nq * ncol, -2, dtype=np.int32)
-    built = np.zeros(nq, dtype=bool)
-    row_stamp = np.empty(nq, dtype=np.int64)
-
-    def ensure_rows(states: np.ndarray) -> None:
-        states = states[~built[states]]
-        pos = np.arange(states.size)
-        row_stamp[states] = pos
-        states = states[row_stamp[states] == pos]
-        if states.size == 0:
-            return
-        delta = aut.delta
-        rows = [[-1 if (t := delta(q, c)) is None else t for c in colors] for q in states.tolist()]
-        table.reshape(nq, ncol)[states] = rows
-        built[states] = True
+    # the whole states x colors transition table, filled once before the
+    # BFS in chunks of states; -1 marks an undefined transition
+    table = np.empty((nq, ncol), dtype=np.int32)
+    if ncol:
+        rows = (aut.row_kernel or partial(_scalar_rows, aut.delta))(colors)
+        for lo in range(0, nq, _FILL_CHUNK):
+            table[lo : lo + _FILL_CHUNK] = rows(np.arange(lo, min(lo + _FILL_CHUNK, nq)))
+    table = table.reshape(-1)
 
     # code -> id; -1 marks an unreached code.  While a level assigns ids, the
     # codes it discovers hold -2 - (position in the level) as a stamp, so
@@ -414,7 +454,6 @@ def _solve_flat(game: Game, aut: SafetyAutomaton, roots: Sequence[int]):
         # ``codes`` grows while this loop runs: one chunk per BFS level
         fv = level // nq
         fq = level - fv * nq
-        ensure_rows(fq[fv < n])
         starts = gptr[fv]
         lens = gptr[fv + 1] - starts
         outdeg_chunks.append(lens)

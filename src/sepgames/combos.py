@@ -21,6 +21,8 @@ import math
 from functools import lru_cache
 from typing import Optional
 
+import numpy as np
+
 from .automaton import SafetyAutomaton, sequential_fold
 from .core import (
     AlphabetMismatchError,
@@ -30,7 +32,7 @@ from .core import (
     Parity,
     ParityOrMeanPayoff,
 )
-from .separators import mp_separator
+from .separators import _counter_rows, mp_separator
 
 __all__ = [
     "parity_mp_separator",
@@ -65,6 +67,9 @@ def parity_mp_separator(
     maximum priority seen so far, matching how runs decompose; the
     alternative convention of starting at ``max_priority`` can be selected
     for comparison.
+
+    The row kernel is composed from the two automata's row kernels the same
+    way, and exists only if both have one.
     """
     if not isinstance(parity_aut.alphabet, Parity) or parity_aut.alphabet.max_priority != max_priority:
         raise AlphabetMismatchError(
@@ -100,12 +105,30 @@ def parity_mp_separator(
         p, qp = divmod(rest, np_)
         return f"{p}|{parity_aut.label(qp)}|{mp_aut.label(qmp)}"
 
+    def row_kernel(colors):
+        letters = np.asarray(colors, dtype=np.int64).reshape(-1, 2)
+        priorities = letters[:, 0]
+        parity_rows = parity_aut.row_kernel(range(max_priority + 1))
+        mp_rows = mp_aut.row_kernel(letters[:, 1].tolist())
+
+        def rows(states):
+            rest, qmp = np.divmod(np.asarray(states, dtype=np.int64), nmp)
+            p, qp = np.divmod(rest, np_)
+            m = np.maximum(p[:, None], priorities)
+            t = mp_rows(qmp)
+            tp = np.take_along_axis(parity_rows(qp), m, axis=1)
+            reset = np.where(tp >= 0, tp * nmp + mp_init, -1)
+            return np.where(t >= 0, (m * np_ + qp[:, None]) * nmp + t, reset)
+
+        return rows
+
     return SafetyAutomaton(
         state_count=(max_priority + 1) * np_ * nmp,
         initial=encode(initial_priority, parity_aut.initial, mp_init),
         alphabet=ParityOrMeanPayoff(max_priority, weight_bound),
         delta=delta,
         state_label=state_label,
+        row_kernel=row_kernel if parity_aut.row_kernel and mp_aut.row_kernel else None,
     )
 
 
@@ -207,6 +230,7 @@ def _component_counter(k: int, dimensions: int, weight_bound: int, component: in
         delta=delta,
         outgoing=outgoing,
         state_label=state_label,
+        row_kernel=lambda colors: _counter_rows(top, [c[component] for c in colors]),
     )
 
 

@@ -280,7 +280,13 @@ def generate_game(
 ) -> Game:
     """Seed-deterministic random game: ownership is uniform, each vertex draws
     an out-degree in the given range (0 allowed, producing sinks), targets and
-    colors are uniform within the objective's bounds."""
+    colors are uniform within the objective's bounds.
+
+    Edges of one vertex are distinct, and drawing stops after
+    64 * (degree + 1) attempts, so a vertex gets fewer edges than its drawn
+    degree when there are fewer distinct (color, target) pairs, or when the
+    draws keep repeating: ``generate_game(1, 3, 3, Parity(0), seed)`` has a
+    single edge.  Nothing reports the shortfall."""
     if vertices < 1:
         raise InvalidGameError("need at least one vertex")
     if not 0 <= min_degree <= max_degree:

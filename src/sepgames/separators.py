@@ -17,7 +17,9 @@ import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Sequence
+
+import numpy as np
 
 from .automaton import SafetyAutomaton
 from .core import InvalidGameError, MeanPayoff, Parity
@@ -122,6 +124,37 @@ class UniversalTree:
             depth -= 1
         return start, node.leaf_count
 
+    def span_table(self) -> tuple:
+        """``(starts, ends)``, both of shape (height + 1, leaf_count): row
+        ``level`` holds, for every leaf, the first leaf and one past the last
+        leaf of its ancestor ``level`` levels up, as :meth:`ancestor_span`
+        gives them one at a time.  O(leaf_count * height)."""
+        total = self.leaf_count
+        starts = np.empty((self.height + 1, total), dtype=np.int64)
+        ends = np.empty_like(starts)
+        if self.root is None:
+            return starts, ends
+        # the nodes of one level, grouped by (shared) node object: the first
+        # leaf of every occurrence
+        level_nodes = {id(self.root): (self.root, [np.zeros(1, dtype=np.int64)])}
+        for level in range(self.height, -1, -1):
+            first = np.zeros(total, dtype=bool)
+            below: dict = {}
+            for node, chunks in level_nodes.values():
+                at = np.concatenate(chunks)
+                first[at] = True
+                by_child: dict = {}
+                for child, off in zip(node.children, node.cum):
+                    by_child.setdefault(id(child), (child, []))[1].append(off)
+                for key, (child, offs) in by_child.items():
+                    below.setdefault(key, (child, []))[1].append((at[:, None] + offs).ravel())
+            level_nodes = below
+            bounds = np.append(np.flatnonzero(first), total)
+            span = np.cumsum(first) - 1
+            starts[level] = bounds[span]
+            ends[level] = bounds[span + 1]
+        return starts, ends
+
     def _descend(self, index: int) -> list:
         node = self.root
         start = 0
@@ -155,6 +188,9 @@ def parity_separator(n: int, max_priority: int) -> SafetyAutomaton:
     level: odd p moves to the smallest strictly greater leaf (undefined past
     the last one), even p to the smallest greater-or-equal one.  Reading 0 is
     the identity and reading a top even priority resets to the leftmost leaf.
+
+    The row kernel reads a table ``T[p, q]``: the start of q's ancestor span
+    at p's level for even p, its end (or -1 past the last leaf) for odd p.
     """
     if n < 1 or max_priority < 0:
         raise InvalidGameError("parity separator needs n >= 1 and max_priority >= 0")
@@ -173,12 +209,29 @@ def parity_separator(n: int, max_priority: int) -> SafetyAutomaton:
     def state_label(q: int) -> str:
         return "(" + ",".join(str(x) for x in tree.leaf_tuple(q)) + ")"
 
+    table = None
+
+    def row_kernel(colors: Sequence[int]):
+        nonlocal table
+        if table is None:
+            starts, ends = tree.span_table()
+            table = np.empty((max_priority + 1, states), dtype=np.int64)
+            for p in range(max_priority + 1):
+                if p % 2:
+                    following = ends[(p + 1) // 2 - 1]
+                    table[p] = np.where(following < states, following, -1)
+                else:
+                    table[p] = starts[p // 2]
+        by_state = np.ascontiguousarray(table[np.asarray(colors, dtype=np.intp)].T)
+        return lambda qs: by_state[qs]
+
     return SafetyAutomaton(
         state_count=states,
         initial=0,
         alphabet=Parity(max_priority),
         delta=delta,
         state_label=state_label,
+        row_kernel=row_kernel,
     )
 
 
@@ -205,7 +258,20 @@ def mp_separator(n: int, weight_bound: int) -> SafetyAutomaton:
         initial=top,
         alphabet=MeanPayoff(weight_bound),
         delta=delta,
+        row_kernel=lambda colors: _counter_rows(top, colors),
     )
+
+
+def _counter_rows(top: int, weights: Sequence[int]):
+    """Row kernel of a counter saturating at ``top``: the sum of state and
+    weight, capped at ``top``, and -1 below zero."""
+    weights = np.asarray(weights, dtype=np.int64)
+
+    def rows(states: np.ndarray) -> np.ndarray:
+        s = np.asarray(states, dtype=np.int64)[:, None] + weights
+        return np.where(s < 0, -1, np.minimum(s, top))
+
+    return rows
 
 
 def parity_state_bound(n: int, max_priority: int) -> int:

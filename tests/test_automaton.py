@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -304,6 +305,34 @@ def test_flat_parity_mp_with_negative_weights_is_parity_above_object_limit():
             )
             aut = build_separator(game.objective, n)
             assert _flat_region(game, aut) == refs.zielonka_region(base)
+
+
+def test_flat_row_kernel_matches_scalar_fill_above_object_limit():
+    # the same flat solve with the table filled by the kernel and by delta
+    from sepgames import ParityOrMeanPayoff
+
+    rng = random.Random(734)
+    for n, d, N in ((16, 3, 2), (14, 4, 2)):
+        game = generate_game(n, 1, 3, ParityOrMeanPayoff(d, N), seed=rng.randrange(10**9))
+        assert {w for (_, (_, w), _) in game.graph.edges} >= {-N, N}
+        aut = build_separator(game.objective, n)
+        scalar = dataclasses.replace(aut, row_kernel=None)
+        assert aut.row_kernel is not None
+        assert _flat_region(game, aut) == _flat_region(game, scalar)
+        roots = list(range(n))
+        assert _solve_flat(game, aut, roots)[1] == _solve_flat(game, scalar, roots)[1]
+
+
+def test_chain_with_a_kernelless_block_falls_back_to_delta():
+    rng = random.Random(735)
+    for _ in range(20):
+        table = {(q, c): rng.randrange(2) for q in range(2) for c in (-1, 0, 1) if rng.random() < 0.7}
+        aut = sequential_fold([mp_separator(3, 1), _table_automaton(2, 0, table)])
+        assert aut.row_kernel is None
+        n = rng.randint(1, 5)
+        game = generate_game(n, 0, 3, MeanPayoff(1), seed=rng.randrange(10**9))
+        flags, _ = _solve_flat(game, aut, list(range(n)))
+        assert frozenset(v for v in range(n) if flags[v]) == separating_winning_region(game, aut)
 
 
 def _reached_pairs(game, aut, roots):

@@ -150,6 +150,13 @@ def test_generator_degrees_in_range():
     assert all(1 <= d <= 3 for d in degrees)
 
 
+def test_generator_emits_fewer_edges_when_no_distinct_ones_remain():
+    # one vertex and one priority leave a single distinct edge, (0, 0, 0),
+    # although every vertex draws degree 3
+    game = generate_game(1, 3, 3, Parity(0), seed=5)
+    assert game.graph.edges == ((0, 0, 0),)
+
+
 def test_generator_ownership_roughly_uniform():
     eve = total = 0
     for seed in range(1000):
@@ -274,6 +281,7 @@ def test_module_entry_points_solve(tmp_path):
             timeout=120,
         )
         assert proc.returncode == 0 and proc.stdout.strip() == "WIN", (module, proc.stderr)
+        assert proc.stderr == "", (module, proc.stderr)
 
 
 def test_cli_automaton_stats_and_dot():

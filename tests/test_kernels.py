@@ -1,0 +1,91 @@
+"""Row kernels against the scalar ``delta``, entry by entry.
+
+Every library separator evaluates its transitions two ways: ``delta`` one
+(state, color) at a time, and ``row_kernel`` for whole arrays of states.
+The kernel must agree with ``delta`` on every state and every color, with
+-1 where ``delta`` is undefined.
+"""
+
+import random
+
+import numpy as np
+import pytest
+
+from sepgames import (
+    disjmp_separator,
+    mp_separator,
+    naive_general_separator,
+    parity_mp_separator,
+    parity_separator,
+)
+
+
+def _scalar_table(aut, colors, states):
+    return np.array(
+        [[-1 if (t := aut.delta(q, c)) is None else t for c in colors] for q in states],
+        dtype=np.int64,
+    ).reshape(len(states), len(colors))
+
+
+def _assert_kernel_is_delta(aut):
+    assert aut.row_kernel is not None
+    colors = list(aut.alphabet.colors())
+    rows = aut.row_kernel(colors)
+    every = np.arange(aut.state_count)
+    assert np.array_equal(rows(every), _scalar_table(aut, colors, every))
+    # arbitrary order with repeats, and a subset of the colors
+    rng = random.Random(aut.state_count)
+    shuffled = np.array([rng.randrange(aut.state_count) for _ in range(2 * aut.state_count)])
+    subset = colors[::-2]
+    assert np.array_equal(
+        aut.row_kernel(subset)(shuffled), _scalar_table(aut, subset, shuffled.tolist())
+    )
+
+
+@pytest.mark.parametrize("d", [0, 1, 3, 8])
+@pytest.mark.parametrize("n", [1, 2, 5, 13, 40])
+def test_parity_kernel_is_delta(n, d):
+    _assert_kernel_is_delta(parity_separator(n, d))
+
+
+@pytest.mark.parametrize("N", [0, 2])
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_mp_kernel_is_delta(n, N):
+    _assert_kernel_is_delta(mp_separator(n, N))
+
+
+@pytest.mark.parametrize("d,N", [(0, 1), (1, 2), (2, 1), (3, 0), (3, 2), (4, 1)])
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_parity_mp_kernel_is_delta(n, d, N):
+    for initial_priority in (0, d):
+        aut = parity_mp_separator(
+            parity_separator(n, d), mp_separator(n, N), d, initial_priority=initial_priority
+        )
+        _assert_kernel_is_delta(aut)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 4, 6])
+def test_disjmp_kernel_is_delta(n, d):
+    _assert_kernel_is_delta(disjmp_separator(n, d, 1))
+
+
+def test_naive_general_kernel_is_delta():
+    _assert_kernel_is_delta(naive_general_separator(parity_separator(3, 3), 3))
+    _assert_kernel_is_delta(naive_general_separator(mp_separator(4, 2), 4))
+    pvmp = parity_mp_separator(parity_separator(2, 2), mp_separator(2, 1), 2)
+    _assert_kernel_is_delta(naive_general_separator(pvmp, 3))
+
+
+def test_parity_kernel_table_is_built_on_first_call_only(monkeypatch):
+    # the leaf table is a cost of the flat path, never of construction
+    from sepgames.separators import UniversalTree
+
+    calls = []
+    span_table = UniversalTree.span_table
+    monkeypatch.setattr(UniversalTree, "span_table", lambda t: calls.append(t) or span_table(t))
+    aut = parity_separator(40, 8)
+    assert calls == []
+    aut.row_kernel([0, 3])
+    aut.row_kernel([8])
+    assert len(calls) == 1

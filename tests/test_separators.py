@@ -54,6 +54,17 @@ def test_ancestor_span_degenerate_levels():
         assert t.ancestor_span(i, t.height) == (0, t.leaf_count)
 
 
+@pytest.mark.parametrize("n,h", [(0, 2), (1, 0), (1, 3), (4, 2), (9, 3), (30, 4)])
+def test_span_table_matches_ancestor_span(n, h):
+    t = universal_tree(n, h)
+    starts, ends = t.span_table()
+    assert starts.shape == ends.shape == (h + 1, t.leaf_count)
+    for i in range(t.leaf_count):
+        for level in range(h + 1):
+            start, count = t.ancestor_span(i, level)
+            assert (starts[level, i], ends[level, i]) == (start, start + count)
+
+
 @pytest.mark.parametrize("n,h", [(n, h) for n in range(1, 6) for h in range(1, 4)])
 def test_universality_exhaustive(n, h):
     u = refs.universal_tree_as_nested(universal_tree(n, h))
