@@ -6,17 +6,25 @@ generated families (tree-walking parity automata, bounded counters, their
 sequential chains) expose ``delta`` as a computed function rather than a
 table.  Each family also has a vectorized ``row_kernel`` that evaluates
 ``delta`` for whole arrays of states at once (the parity one from
-per-priority leaf spans it tabulates on first use); the flat product fills
-its transition table with it in one pass before exploring.
+per-priority leaf spans it tabulates on first use); the lifts and the flat
+product below fill their states x colors transition table with it in one
+pass.
 
-Solving a game through a separating automaton has two interchangeable
-implementations: an object-level one that builds the product game explicitly
-(inspectable, exportable to DOT) and a flat numpy pipeline that breadth-first
-explores integer-coded product states (used once products outgrow desk
-scale).  The flat pipeline gives each reached product state a compact id, so
-its arrays grow with the reached product rather than with vertices times
-automaton states; only its states x colors transition table is dense.  Both
-reduce to the same safety solver.
+Solving a game through a separating automaton takes one of three routes,
+chosen in ``_solve_roots`` by size and by the automaton:
+
+* object: builds the product game explicitly (inspectable, exportable to
+  DOT) and hands it to ``solve_safety``; used while vertices times automaton
+  states stay at desk scale.
+* lifts: for automata whose ``delta`` is monotone in state order, value
+  iteration keeps one threshold state per game vertex and never builds the
+  product; memory is O(states x colors + edges).
+* product: a flat numpy pipeline that breadth-first explores integer-coded
+  product states, gives each reached one a compact id (so its arrays grow
+  with the reached product rather than with vertices times automaton
+  states), and runs the attractor of the safety solver on them.
+
+All three compute the winning region of the same chained safety game.
 """
 
 from __future__ import annotations
@@ -68,6 +76,10 @@ _OBJECT_PATH_LIMIT = 50_000
 # caps the kernels' temporaries at a few (chunk x colors) int64 arrays
 _FILL_CHUNK = 4096
 
+# value iteration lifts at most this many vertices one at a time from a
+# worklist; larger sets are lifted together in one numpy round
+_SMALL_LIFT = 32
+
 RowKernel = Callable[[Sequence[Color]], Callable[[np.ndarray], np.ndarray]]
 
 
@@ -85,6 +97,11 @@ class SafetyAutomaton:
     ``delta``: ``row_kernel(colors)`` returns a function mapping an int array
     of k states to the (k, len(colors)) int array of their successors, -1
     where ``delta`` is undefined.
+
+    ``monotone`` claims that every ``delta(., c)`` is non-decreasing in the
+    state index, with "undefined" above every state, so a lower state is
+    never worse for Eve; such automata are solved by value iteration (see
+    ``_solve_lifts``), which checks the claim on the colors it reads.
     """
 
     state_count: int
@@ -95,6 +112,7 @@ class SafetyAutomaton:
     outgoing: Optional[Callable[[int], Sequence[tuple[Color, Optional[int]]]]] = None
     state_label: Optional[Callable[[int], str]] = None
     row_kernel: Optional[RowKernel] = None
+    monotone: bool = False
 
     def __post_init__(self) -> None:
         if self.state_count < 1:
@@ -388,8 +406,32 @@ def _check_alphabet(game: Game, aut: SafetyAutomaton) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Flat product solving (integer-coded pipeline)
+# Integer-coded solving (flat product and lifts)
 # ---------------------------------------------------------------------------
+
+
+def _sorted_edges(g: Graph):
+    """The graph's distinct colors in first-seen order, and its edges sorted
+    (stably) by source as int64 arrays of sources, targets and color
+    indices."""
+    colors = list(dict.fromkeys(e[1] for e in g.edges))
+    cid = {c: i for i, c in enumerate(colors)}
+    order = np.argsort(g._src_array, kind="stable")
+    gcid = np.fromiter((cid[g.edges[i][1]] for i in order), dtype=np.int64, count=len(order))
+    return colors, g._src_array[order], g._dst_array[order], gcid
+
+
+def _transition_table(aut: SafetyAutomaton, colors: Sequence[Color]) -> np.ndarray:
+    """The whole states x colors int32 transition table, -1 where ``delta``
+    is undefined, filled in chunks of states through the row kernel (or
+    ``delta`` when the automaton has none)."""
+    nq = aut.state_count
+    table = np.empty((nq, len(colors)), dtype=np.int32)
+    if colors:
+        rows = (aut.row_kernel or partial(_scalar_rows, aut.delta))(colors)
+        for lo in range(0, nq, _FILL_CHUNK):
+            table[lo : lo + _FILL_CHUNK] = rows(np.arange(lo, min(lo + _FILL_CHUNK, nq)))
+    return table
 
 
 def _solve_flat(game: Game, aut: SafetyAutomaton, roots: Sequence[int]):
@@ -407,27 +449,14 @@ def _solve_flat(game: Game, aut: SafetyAutomaton, roots: Sequence[int]):
     n, nq = g.vertex_count, aut.state_count
     bot = n * nq
 
-    colors = list(dict.fromkeys(e[1] for e in g.edges))
-    cid = {c: i for i, c in enumerate(colors)}
+    colors, gsrc, gdst, gcid = _sorted_edges(g)
     ncol = len(colors)
-
-    esrc = g._src_array
-    order = np.argsort(esrc, kind="stable")
-    gdst = g._dst_array[order]
-    gcid = np.fromiter((cid[g.edges[i][1]] for i in order), dtype=np.int64, count=len(order))
     # vertex n stands for the sink and has no edges
     gptr = np.zeros(n + 2, dtype=np.int64)
-    np.cumsum(np.bincount(esrc, minlength=n), out=gptr[1 : n + 1])
+    np.cumsum(np.bincount(gsrc, minlength=n), out=gptr[1 : n + 1])
     gptr[n + 1] = gptr[n]
 
-    # the whole states x colors transition table, filled once before the
-    # BFS in chunks of states; -1 marks an undefined transition
-    table = np.empty((nq, ncol), dtype=np.int32)
-    if ncol:
-        rows = (aut.row_kernel or partial(_scalar_rows, aut.delta))(colors)
-        for lo in range(0, nq, _FILL_CHUNK):
-            table[lo : lo + _FILL_CHUNK] = rows(np.arange(lo, min(lo + _FILL_CHUNK, nq)))
-    table = table.reshape(-1)
+    table = _transition_table(aut, colors).reshape(-1)
 
     # code -> id; -1 marks an unreached code.  While a level assigns ids, the
     # codes it discovers hold -2 - (position in the level) as a stamp, so
@@ -460,7 +489,7 @@ def _solve_flat(game: Game, aut: SafetyAutomaton, roots: Sequence[int]):
         total = int(lens.sum())
         if total == 0:
             continue
-        idx = np.repeat(starts - np.cumsum(lens) + lens, lens) + np.arange(total)
+        idx = _slices(starts, lens, total)
         tq = table[np.repeat(fq * ncol, lens) + gcid[idx]]
         tcode = np.where(tq >= 0, gdst[idx] * nq + tq, bot)
         tid = ids[tcode]
@@ -485,6 +514,7 @@ def _solve_flat(game: Game, aut: SafetyAutomaton, roots: Sequence[int]):
     seed = np.flatnonzero(eve & (outdeg == 0)).astype(np.int32)
     wins = ~_attract(count, srcs, dsts, eve, seed)[root_ids]
     stats = {
+        "path": "product",
         "product_states": count,
         "product_edges": edge_total,
         "automaton_states": nq,
@@ -492,9 +522,170 @@ def _solve_flat(game: Game, aut: SafetyAutomaton, roots: Sequence[int]):
     return wins, stats
 
 
+def _solve_lifts(game: Game, aut: SafetyAutomaton, roots: Sequence[int]):
+    """Solve the chained game of a monotone automaton by value iteration,
+    without building the product.
+
+    Since a lower state is never worse for Eve, the states from which she
+    wins at vertex v are those up to a threshold ``t[v]`` (-1 when there are
+    none).  The thresholds are the greatest fixpoint of
+
+        t[v] = max (Eve) or min (Adam) over edges (v, c, w) of pre(c, t[w]),
+
+    where ``pre(c, t)`` is the largest state q with ``delta(q, c) <= t``, or
+    -1.  Iteration starts with every threshold at the top state and Eve-owned
+    sinks at -1, and lifts only the vertices with a successor that dropped
+    since their last lift: all of them at once in a round while there are
+    many, one at a time from a worklist while there are few (a cycle whose
+    top priority is odd can drop one state per round for as many rounds as
+    the automaton has states).  Raises ``InvalidGameError`` if ``delta`` is
+    not monotone on the game's colors.  Returns (per-root win flags, stats
+    dict).
+    """
+    g = game.graph
+    n, nq = g.vertex_count, aut.state_count
+    colors, src, dst, cid = _sorted_edges(g)
+    pre = _pre_table(aut, colors)
+
+    # Eve's vertices are numbered first, so that a sorted set of vertices
+    # splits into an Eve prefix, lifted by max, and an Adam suffix, by min
+    eve = np.fromiter((o is EVE for o in game.owner), dtype=bool, count=n)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(~eve, kind="stable")] = np.arange(n)
+    eve_count = int(eve.sum())
+    src, dst = rank[src], rank[dst]
+    # successors (as pre offset and target) and predecessors, in CSR form
+    by_src = np.argsort(src, kind="stable")
+    at, succ = cid[by_src] * (nq + 1) + 1, dst[by_src]
+    pred = src[np.argsort(dst, kind="stable")]
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=ptr[1:])
+    pptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(dst, minlength=n), out=pptr[1:])
+
+    outdeg = np.diff(ptr)
+    t = np.full(n, nq - 1, dtype=np.int64)
+    t[:eve_count][outdeg[:eve_count] == 0] = -1
+    level = t.tolist()  # the same thresholds, for the worklist
+    outs = preds = None
+    queued = bytearray(n)
+    lookup = memoryview(pre)  # indexes as Python ints, without a copy
+    dirty = np.flatnonzero(outdeg)
+    rounds = lifts = 0
+    while dirty.size:
+        if dirty.size <= _SMALL_LIFT:
+            if outs is None:
+                pairs = list(zip(at.tolist(), succ.tolist()))
+                outs = [pairs[a:b] for a, b in zip(ptr[:-1].tolist(), ptr[1:].tolist())]
+                flat = pred.tolist()
+                preds = [flat[a:b] for a, b in zip(pptr[:-1].tolist(), pptr[1:].tolist())]
+            pending = dirty.tolist()
+            for v in pending:
+                queued[v] = 1
+            dropped = []
+            while pending and len(pending) <= _SMALL_LIFT:
+                v = pending.pop()
+                queued[v] = 0
+                lifts += 1
+                lifted = [lookup[a + level[w]] for a, w in outs[v]]
+                new = max(lifted) if v < eve_count else min(lifted)
+                if new < level[v]:
+                    level[v] = new
+                    dropped.append(v)
+                    for u in preds[v]:
+                        if not queued[u]:
+                            queued[u] = 1
+                            pending.append(u)
+            t[dropped] = [level[v] for v in dropped]
+            for v in pending:
+                queued[v] = 0
+            dirty = np.array(sorted(pending), dtype=np.int64)
+            continue
+        rounds += 1
+        lifts += dirty.size
+        starts, lens = ptr[dirty], outdeg[dirty]
+        heads = np.cumsum(lens) - lens
+        idx = _slices(starts, lens, int(heads[-1] + lens[-1]))
+        lifted = pre[at[idx] + t[succ[idx]]]
+        k = int(np.searchsorted(dirty, eve_count))
+        cut = int(heads[k]) if k < dirty.size else lifted.size
+        new = np.concatenate(
+            [
+                np.maximum.reduceat(lifted[:cut], heads[:k]),
+                np.minimum.reduceat(lifted[cut:], heads[k:] - cut),
+            ]
+        )
+        down = new < t[dirty]
+        changed, new = dirty[down], new[down]
+        t[changed] = new
+        for v, x in zip(changed.tolist(), new.tolist()):
+            level[v] = x
+        starts = pptr[changed]
+        lens = pptr[changed + 1] - starts
+        # sorted and deduplicated; np.unique is several times slower here
+        dirty = np.sort(pred[_slices(starts, lens, int(lens.sum()))])
+        dirty = dirty[np.diff(dirty, prepend=-1) != 0]
+
+    wins = aut.initial <= t[rank[np.asarray(roots, dtype=np.int64)]]
+    stats = {"path": "lifts", "lift_rounds": rounds, "vertex_lifts": lifts, "automaton_states": nq}
+    return wins, stats
+
+
+def _pre_table(aut: SafetyAutomaton, colors: Sequence[Color]) -> np.ndarray:
+    """``pre(c, t)``, the largest state q with ``delta(q, c) <= t`` (-1 if
+    none), for the i-th color c and every t in [-1, state_count), as an int32
+    array indexed ``i * (state_count + 1) + t + 1``.  Raises
+    ``InvalidGameError`` if some color's ``delta`` is not monotone."""
+    nq, ncol = aut.state_count, len(colors)
+    # undefined counts as above every state
+    table = _transition_table(aut, colors)
+    table[table < 0] = nq
+    if (np.diff(table, axis=0) < 0).any():
+        raise InvalidGameError("automaton is marked monotone but its delta is not")
+    # one search over the color columns laid end to end, each offset by
+    # i * (nq + 2) so that no two columns' ranges meet
+    stride = np.arange(ncol, dtype=np.int64)[:, None] * (nq + 2)
+    laid = (table.T + stride).ravel()
+    del table
+    pre = np.searchsorted(laid, (np.arange(-1, nq) + stride).ravel(), side="right") - 1
+    pre -= np.repeat(np.arange(ncol, dtype=np.int64) * nq, nq + 1)
+    return pre.astype(np.int32)
+
+
+def _slices(starts: np.ndarray, lens: np.ndarray, total: int) -> np.ndarray:
+    """The index ranges ``[starts[i], starts[i] + lens[i])``, concatenated;
+    ``total`` is the sum of ``lens``."""
+    return np.repeat(starts - np.cumsum(lens) + lens, lens) + np.arange(total)
+
+
 # ---------------------------------------------------------------------------
 # Game solving through a separating automaton
 # ---------------------------------------------------------------------------
+
+
+def _solve_roots(game: Game, aut: SafetyAutomaton, roots: Sequence[int]):
+    """Does Eve win the chained game from ``(v, initial)``, for each root v?
+    Returns (per-root win flags, stats dict naming the route in ``path``).
+
+    Products of at most ``_OBJECT_PATH_LIMIT`` pairs are built as objects;
+    larger ones are solved by lifts when the automaton is monotone and by
+    the flat product otherwise.
+    """
+    _check_alphabet(game, aut)
+    if game.vertex_count * aut.state_count <= _OBJECT_PATH_LIMIT:
+        chain = _build_chained(game, aut, roots)
+        region = solve_safety(chain.game)
+        flags = [chain.product_vertex(v, aut.initial) in region.eve_wins for v in roots]
+        stats = {
+            "path": "object",
+            "product_states": chain.game.vertex_count,
+            "product_edges": chain.game.graph.edge_count,
+            "automaton_states": aut.state_count,
+        }
+        return flags, stats
+    if aut.monotone:
+        return _solve_lifts(game, aut, roots)
+    return _solve_flat(game, aut, roots)
 
 
 def solve_via_separating(game: Game, v0: int, aut: SafetyAutomaton) -> bool:
@@ -503,38 +694,20 @@ def solve_via_separating(game: Game, v0: int, aut: SafetyAutomaton) -> bool:
     from ``(v0, initial)``."""
     if not 0 <= v0 < game.vertex_count:
         raise InvalidGameError(f"start vertex {v0} out of range")
-    _check_alphabet(game, aut)
-    if game.vertex_count * aut.state_count <= _OBJECT_PATH_LIMIT:
-        chain = chained_game(game, aut, v0)
-        region = solve_safety(chain.game)
-        return chain.product_vertex(v0, aut.initial) in region.eve_wins
-    wins, _ = _solve_flat(game, aut, [v0])
-    return bool(wins[0])
+    flags, _ = _solve_roots(game, aut, [v0])
+    return bool(flags[0])
 
 
 def separating_winning_region(game: Game, aut: SafetyAutomaton, with_stats: bool = False):
-    """All vertices from which Eve wins, via one multi-rooted product solve.
+    """All vertices from which Eve wins, via one multi-rooted solve.
 
     Safety winning regions only depend on the forward cone of a vertex, so
     solving the product grown from every ``(v, initial)`` at once answers all
     start vertices together.
     """
-    _check_alphabet(game, aut)
     roots = list(range(game.vertex_count))
-    if not roots:
-        return (frozenset(), {"product_states": 0, "product_edges": 0}) if with_stats else frozenset()
-    if game.vertex_count * aut.state_count <= _OBJECT_PATH_LIMIT:
-        chain = _build_chained(game, aut, roots)
-        region = solve_safety(chain.game)
-        wins = frozenset(v for v in roots if chain.product_vertex(v, aut.initial) in region.eve_wins)
-        stats = {
-            "product_states": chain.game.vertex_count,
-            "product_edges": chain.game.graph.edge_count,
-            "automaton_states": aut.state_count,
-        }
-    else:
-        flags, stats = _solve_flat(game, aut, roots)
-        wins = frozenset(v for v, f in zip(roots, flags) if f)
+    flags, stats = _solve_roots(game, aut, roots)
+    wins = frozenset(v for v, f in zip(roots, flags) if f)
     return (wins, stats) if with_stats else wins
 
 

@@ -370,7 +370,14 @@ def _cmd_solve(args) -> int:
     if args.region:
         print("region: " + " ".join(str(v) for v in sorted(region)))
     if args.stats:
-        for key in ("automaton_states", "product_states", "product_edges"):
+        for key in (
+            "path",
+            "automaton_states",
+            "product_states",
+            "product_edges",
+            "lift_rounds",
+            "vertex_lifts",
+        ):
             if key in stats:
                 print(f"{key}: {stats[key]}")
     return 0
@@ -510,7 +517,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="start", type=int, required=True)
     p.add_argument("--algo", choices=["separating", "oracle"], default="separating")
     p.add_argument("--region", action="store_true", help="also print Eve's full winning region")
-    p.add_argument("--stats", action="store_true", help="print automaton/product sizes")
+    p.add_argument("--stats", action="store_true", help="print the route taken and its sizes")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("automaton", help="emit a separating automaton")

@@ -3,9 +3,10 @@
 * Parity: states are the leaves of a universal tree of height ceil(d/2);
   reading an odd priority moves to the first leaf past the current ancestor
   subtree at the priority's level, reading an even priority falls back to the
-  leftmost leaf below the ancestor at its level.  Transitions are computed by
-  navigating the tree in O(height) -- the (quasipolynomially many) leaves are
-  addressed by index and never tabulated.
+  leftmost leaf below the ancestor at its level.  The scalar ``delta``
+  navigates the tree in O(height), with leaves addressed by index; the row
+  kernel reads a per-priority table of ancestor spans, O(leaves x height),
+  built on its first call.  Both are monotone in leaf order.
 
 * Mean payoff: a saturating counter over [0, (n-1)*N], started at the top;
   a letter is rejected exactly when it would push the counter below zero.
@@ -189,6 +190,11 @@ def parity_separator(n: int, max_priority: int) -> SafetyAutomaton:
     the last one), even p to the smallest greater-or-equal one.  Reading 0 is
     the identity and reading a top even priority resets to the leftmost leaf.
 
+    ``delta`` is monotone in leaf order: for every p, a leaf left of another
+    moves to a leaf no further right, and only a suffix of the leaves has p
+    undefined.  The automaton is marked ``monotone``, so games past desk
+    scale are solved by value iteration over this order.
+
     The row kernel reads a table ``T[p, q]``: the start of q's ancestor span
     at p's level for even p, its end (or -1 past the last leaf) for odd p.
     """
@@ -232,6 +238,7 @@ def parity_separator(n: int, max_priority: int) -> SafetyAutomaton:
         delta=delta,
         state_label=state_label,
         row_kernel=row_kernel,
+        monotone=True,
     )
 
 

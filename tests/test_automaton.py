@@ -12,6 +12,7 @@ from sepgames import (
     AlphabetMismatchError,
     Game,
     Graph,
+    InvalidGameError,
     MeanPayoff,
     SafetyAutomaton,
     Safety,
@@ -27,7 +28,7 @@ from sepgames import (
     sequential_product,
     solve_via_separating,
 )
-from sepgames.automaton import _OBJECT_PATH_LIMIT, _solve_flat
+from sepgames.automaton import _OBJECT_PATH_LIMIT, _solve_flat, _solve_lifts
 from sepgames.frontend import build_separator, generate_game
 
 
@@ -333,6 +334,79 @@ def test_chain_with_a_kernelless_block_falls_back_to_delta():
         game = generate_game(n, 0, 3, MeanPayoff(1), seed=rng.randrange(10**9))
         flags, _ = _solve_flat(game, aut, list(range(n)))
         assert frozenset(v for v in range(n) if flags[v]) == separating_winning_region(game, aut)
+
+
+def _flags_region(flags):
+    return frozenset(v for v, f in enumerate(flags) if f)
+
+
+def test_lifts_match_flat_product_and_recursive_solver():
+    from sepgames import Parity
+
+    rng = random.Random(736)
+    for _ in range(60):
+        n = rng.randint(1, 60)
+        d = rng.randint(0, 8)
+        # minimum degree 0: sinks of both owners, and some edgeless games
+        game = generate_game(n, 0, 3, Parity(d), seed=rng.randrange(10**9))
+        aut = build_separator(game.objective, n)
+        roots = list(range(n))
+        lifts, stats = _solve_lifts(game, aut, roots)
+        assert stats["path"] == "lifts"
+        # every vertex with an edge is lifted at least once
+        assert stats["vertex_lifts"] >= len({u for (u, _, _) in game.graph.edges})
+        assert _flags_region(lifts) == _flags_region(_solve_flat(game, aut, roots)[0])
+        assert _flags_region(lifts) == refs.zielonka_region(game)
+        scalar = dataclasses.replace(aut, row_kernel=None)
+        assert scalar.monotone
+        assert _flags_region(_solve_lifts(game, scalar, roots)[0]) == _flags_region(lifts)
+
+
+def test_lifts_reject_an_automaton_that_is_not_monotone():
+    # a counter's delta decreases on a negative weight (undefined at the
+    # bottom, counting as above every state), so the claim is false
+    game = Game(Graph(2, ((0, -1, 1), (1, 1, 0))), (EVE, ADAM), MeanPayoff(1))
+    aut = dataclasses.replace(mp_separator(2, 1), monotone=True)
+    with pytest.raises(InvalidGameError):
+        _solve_lifts(game, aut, [0, 1])
+    big = generate_game(100, 1, 3, MeanPayoff(6), seed=737)
+    aut = dataclasses.replace(build_separator(big.objective, 100), monotone=True)
+    assert 100 * aut.state_count > _OBJECT_PATH_LIMIT
+    with pytest.raises(InvalidGameError):
+        separating_winning_region(big, aut)
+
+
+def test_replacing_delta_keeps_monotone():
+    from sepgames import parity_separator
+
+    aut = parity_separator(5, 4)
+    traced = dataclasses.replace(aut, delta=lambda q, c: aut.delta(q, c))
+    assert aut.monotone and traced.monotone
+    assert not mp_separator(5, 2).monotone
+
+
+def test_route_follows_size_and_monotonicity():
+    from sepgames import MeanPayoffDisjunction, Parity
+
+    cases = ((Parity(4), 5, "object"), (Parity(8), 60, "lifts"), (MeanPayoffDisjunction(2, 2), 80, "product"))
+    for objective, n, path in cases:
+        game = generate_game(n, 1, 3, objective, seed=738)
+        aut = build_separator(objective, n)
+        region, stats = separating_winning_region(game, aut, with_stats=True)
+        assert stats["path"] == path
+        assert solve_via_separating(game, 0, aut) == (0 in region)
+
+
+def test_parity_1000_vertices_8_priorities_matches_recursive_solver():
+    # 173,117 leaves: the product's dense code map would hold 173M entries
+    from sepgames import Parity
+
+    game = generate_game(1000, 1, 3, Parity(8), seed=739)
+    aut = build_separator(game.objective, 1000)
+    assert aut.state_count == 173_117
+    region, stats = separating_winning_region(game, aut, with_stats=True)
+    assert stats["path"] == "lifts"
+    assert region == refs.zielonka_region(game)
 
 
 def _reached_pairs(game, aut, roots):

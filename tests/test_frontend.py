@@ -194,6 +194,20 @@ def test_cli_solve_region_and_stats(tmp_path):
     assert any(line.startswith("product_states:") for line in lines)
 
 
+def test_cli_stats_name_the_lifts_path(tmp_path):
+    # 60 vertices x 2,393 leaves is past the object path: value iteration
+    f = tmp_path / "g.game"
+    f.write_text(print_game(generate_game(60, 1, 3, Parity(8), seed=5)))
+    code, out, _ = _run_cli(["solve", "--input", str(f), "--from", "0", "--stats"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] in ("WIN", "LOSE")
+    assert "path: lifts" in lines and "automaton_states: 2393" in lines
+    assert any(line.startswith("lift_rounds: ") for line in lines)
+    assert any(line.startswith("vertex_lifts: ") for line in lines)
+    assert not any(line.startswith("product_") for line in lines)
+
+
 def test_cli_algo_agreement(tmp_path):
     rng = random.Random(8)
     for kind in ("parity", "mp", "parity-mp", "disj-mp"):

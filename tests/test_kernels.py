@@ -77,6 +77,20 @@ def test_naive_general_kernel_is_delta():
     _assert_kernel_is_delta(naive_general_separator(pvmp, 3))
 
 
+@pytest.mark.parametrize("d", range(9))
+@pytest.mark.parametrize("n", [1, 2, 5, 13, 40])
+def test_parity_delta_is_monotone_in_leaf_order(n, d):
+    # the order value iteration relies on: each color's column of successors
+    # never decreases, and undefined entries only fill a suffix of the leaves
+    aut = parity_separator(n, d)
+    assert aut.monotone
+    table = _scalar_table(aut, list(aut.alphabet.colors()), range(aut.state_count))
+    for column in table.T:
+        undefined = column < 0
+        assert undefined[np.argmax(undefined) :].all() or not undefined.any()
+        assert (np.diff(column[~undefined]) >= 0).all()
+
+
 def test_parity_kernel_table_is_built_on_first_call_only(monkeypatch):
     # the leaf table is a cost of the flat path, never of construction
     from sepgames.separators import UniversalTree
