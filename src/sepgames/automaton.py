@@ -16,9 +16,10 @@ chosen in ``_solve_roots`` by size and by the automaton:
 * object: builds the product game explicitly (inspectable, exportable to
   DOT) and hands it to ``solve_safety``; used while vertices times automaton
   states stay at desk scale.
-* lifts: for automata whose ``delta`` is monotone in state order, value
-  iteration keeps one threshold state per game vertex and never builds the
-  product; memory is O(states x colors + edges).
+* lifts: when ``delta`` is monotone in state order on the game's colors
+  (checked on the table), value iteration keeps one threshold state per
+  game vertex and never builds the product; memory is O(states x colors +
+  edges).
 * product: a flat numpy pipeline that breadth-first explores integer-coded
   product states, gives each reached one a compact id (so its arrays grow
   with the reached product rather than with vertices times automaton
@@ -76,10 +77,6 @@ _OBJECT_PATH_LIMIT = 50_000
 # caps the kernels' temporaries at a few (chunk x colors) int64 arrays
 _FILL_CHUNK = 4096
 
-# value iteration lifts at most this many vertices one at a time from a
-# worklist; larger sets are lifted together in one numpy round
-_SMALL_LIFT = 32
-
 RowKernel = Callable[[Sequence[Color]], Callable[[np.ndarray], np.ndarray]]
 
 
@@ -97,11 +94,6 @@ class SafetyAutomaton:
     ``delta``: ``row_kernel(colors)`` returns a function mapping an int array
     of k states to the (k, len(colors)) int array of their successors, -1
     where ``delta`` is undefined.
-
-    ``monotone`` claims that every ``delta(., c)`` is non-decreasing in the
-    state index, with "undefined" above every state, so a lower state is
-    never worse for Eve; such automata are solved by value iteration (see
-    ``_solve_lifts``), which checks the claim on the colors it reads.
     """
 
     state_count: int
@@ -112,7 +104,6 @@ class SafetyAutomaton:
     outgoing: Optional[Callable[[int], Sequence[tuple[Color, Optional[int]]]]] = None
     state_label: Optional[Callable[[int], str]] = None
     row_kernel: Optional[RowKernel] = None
-    monotone: bool = False
 
     def __post_init__(self) -> None:
         if self.state_count < 1:
@@ -410,11 +401,16 @@ def _check_alphabet(game: Game, aut: SafetyAutomaton) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _game_colors(g: Graph) -> list:
+    """The graph's distinct colors in first-seen order."""
+    return list(dict.fromkeys(e[1] for e in g.edges))
+
+
 def _sorted_edges(g: Graph):
     """The graph's distinct colors in first-seen order, and its edges sorted
     (stably) by source as int64 arrays of sources, targets and color
     indices."""
-    colors = list(dict.fromkeys(e[1] for e in g.edges))
+    colors = _game_colors(g)
     cid = {c: i for i, c in enumerate(colors)}
     order = np.argsort(g._src_array, kind="stable")
     gcid = np.fromiter((cid[g.edges[i][1]] for i in order), dtype=np.int64, count=len(order))
@@ -434,12 +430,13 @@ def _transition_table(aut: SafetyAutomaton, colors: Sequence[Color]) -> np.ndarr
     return table
 
 
-def _solve_flat(game: Game, aut: SafetyAutomaton, roots: Sequence[int]):
+def _solve_flat(game: Game, aut: SafetyAutomaton, roots: Sequence[int], table=None):
     """Solve the chained game without materializing python objects.
 
     Product states are coded ``v * state_count + q``; the losing sink gets the
-    one-past-the-end code.  The automaton's transitions on the game's colors
-    are tabulated up front, through its row kernel when it has one.  Each
+    one-past-the-end code.  ``table`` holds the automaton's transitions on
+    the game's colors (``_transition_table``); it is filled here, through
+    the row kernel when there is one, when not given.  Each
     reached code gets an int32 id in discovery order through one dense
     code -> id map, and every later array is indexed by id, so it grows with
     the reached product rather than with the code range.  Returns (per-root
@@ -456,7 +453,9 @@ def _solve_flat(game: Game, aut: SafetyAutomaton, roots: Sequence[int]):
     np.cumsum(np.bincount(gsrc, minlength=n), out=gptr[1 : n + 1])
     gptr[n + 1] = gptr[n]
 
-    table = _transition_table(aut, colors).reshape(-1)
+    if table is None:
+        table = _transition_table(aut, colors)
+    table = table.reshape(-1)
 
     # code -> id; -1 marks an unreached code.  While a level assigns ids, the
     # codes it discovers hold -2 - (position in the level) as a stamp, so
@@ -522,131 +521,110 @@ def _solve_flat(game: Game, aut: SafetyAutomaton, roots: Sequence[int]):
     return wins, stats
 
 
-def _solve_lifts(game: Game, aut: SafetyAutomaton, roots: Sequence[int]):
-    """Solve the chained game of a monotone automaton by value iteration,
-    without building the product.
+def _solve_lifts(game: Game, aut: SafetyAutomaton, roots: Sequence[int], table=None):
+    """Solve the chained game by value iteration, without building the
+    product.  Valid only when ``delta`` is monotone on the game's colors (see
+    ``_is_monotone``); ``table`` is its transition table on them, filled here
+    when not given.
 
-    Since a lower state is never worse for Eve, the states from which she
-    wins at vertex v are those up to a threshold ``t[v]`` (-1 when there are
-    none).  The thresholds are the greatest fixpoint of
+    Since a lower state is then never worse for Eve, the states from which
+    she wins at vertex v are those up to a threshold ``t[v]`` (-1 when there
+    are none).  The thresholds are the greatest fixpoint of
 
         t[v] = max (Eve) or min (Adam) over edges (v, c, w) of pre(c, t[w]),
 
     where ``pre(c, t)`` is the largest state q with ``delta(q, c) <= t``, or
     -1.  Iteration starts with every threshold at the top state and Eve-owned
-    sinks at -1, and lifts only the vertices with a successor that dropped
-    since their last lift: all of them at once in a round while there are
-    many, one at a time from a worklist while there are few (a cycle whose
-    top priority is odd can drop one state per round for as many rounds as
-    the automaton has states).  Raises ``InvalidGameError`` if ``delta`` is
-    not monotone on the game's colors.  Returns (per-root win flags, stats
-    dict).
+    sinks at -1, and lifts the vertices of the roots' cone one at a time
+    from a LIFO worklist, which gets a vertex back whenever one of its
+    successors drops.  Returns (per-root win flags, stats dict).
     """
     g = game.graph
     n, nq = g.vertex_count, aut.state_count
     colors, src, dst, cid = _sorted_edges(g)
-    pre = _pre_table(aut, colors)
+    if table is None:
+        table = _transition_table(aut, colors)
+    lookup = memoryview(_pre_table(table, nq))  # indexes as Python ints, without a copy
 
-    # Eve's vertices are numbered first, so that a sorted set of vertices
-    # splits into an Eve prefix, lifted by max, and an Adam suffix, by min
-    eve = np.fromiter((o is EVE for o in game.owner), dtype=bool, count=n)
-    rank = np.empty(n, dtype=np.int64)
-    rank[np.argsort(~eve, kind="stable")] = np.arange(n)
-    eve_count = int(eve.sum())
-    src, dst = rank[src], rank[dst]
-    # successors (as pre offset and target) and predecessors, in CSR form
-    by_src = np.argsort(src, kind="stable")
-    at, succ = cid[by_src] * (nq + 1) + 1, dst[by_src]
-    pred = src[np.argsort(dst, kind="stable")]
+    # only the edges leaving the game vertices reachable from the roots
     ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=ptr[1:])
-    pptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(dst, minlength=n), out=pptr[1:])
+    keep = _cone(ptr, dst, roots)[src]
+    sources = src[keep].tolist()
+    # each edge as (its color's offset into the pre table, target)
+    outs: list = [[] for _ in range(n)]
+    preds: list = [[] for _ in range(n)]
+    for v, a, w in zip(sources, (cid[keep] * (nq + 1) + 1).tolist(), dst[keep].tolist()):
+        outs[v].append((a, w))
+        preds[w].append(v)
 
-    outdeg = np.diff(ptr)
-    t = np.full(n, nq - 1, dtype=np.int64)
-    t[:eve_count][outdeg[:eve_count] == 0] = -1
-    level = t.tolist()  # the same thresholds, for the worklist
-    outs = preds = None
+    eve = [o is EVE for o in game.owner]
+    level = [nq - 1] * n
+    for v in range(n):
+        if eve[v] and not outs[v]:
+            level[v] = -1
+    pending = sorted(set(sources))
     queued = bytearray(n)
-    lookup = memoryview(pre)  # indexes as Python ints, without a copy
-    dirty = np.flatnonzero(outdeg)
-    rounds = lifts = 0
-    while dirty.size:
-        if dirty.size <= _SMALL_LIFT:
-            if outs is None:
-                pairs = list(zip(at.tolist(), succ.tolist()))
-                outs = [pairs[a:b] for a, b in zip(ptr[:-1].tolist(), ptr[1:].tolist())]
-                flat = pred.tolist()
-                preds = [flat[a:b] for a, b in zip(pptr[:-1].tolist(), pptr[1:].tolist())]
-            pending = dirty.tolist()
-            for v in pending:
-                queued[v] = 1
-            dropped = []
-            while pending and len(pending) <= _SMALL_LIFT:
-                v = pending.pop()
-                queued[v] = 0
-                lifts += 1
-                lifted = [lookup[a + level[w]] for a, w in outs[v]]
-                new = max(lifted) if v < eve_count else min(lifted)
-                if new < level[v]:
-                    level[v] = new
-                    dropped.append(v)
-                    for u in preds[v]:
-                        if not queued[u]:
-                            queued[u] = 1
-                            pending.append(u)
-            t[dropped] = [level[v] for v in dropped]
-            for v in pending:
-                queued[v] = 0
-            dirty = np.array(sorted(pending), dtype=np.int64)
-            continue
-        rounds += 1
-        lifts += dirty.size
-        starts, lens = ptr[dirty], outdeg[dirty]
-        heads = np.cumsum(lens) - lens
-        idx = _slices(starts, lens, int(heads[-1] + lens[-1]))
-        lifted = pre[at[idx] + t[succ[idx]]]
-        k = int(np.searchsorted(dirty, eve_count))
-        cut = int(heads[k]) if k < dirty.size else lifted.size
-        new = np.concatenate(
-            [
-                np.maximum.reduceat(lifted[:cut], heads[:k]),
-                np.minimum.reduceat(lifted[cut:], heads[k:] - cut),
-            ]
-        )
-        down = new < t[dirty]
-        changed, new = dirty[down], new[down]
-        t[changed] = new
-        for v, x in zip(changed.tolist(), new.tolist()):
-            level[v] = x
-        starts = pptr[changed]
-        lens = pptr[changed + 1] - starts
-        # sorted and deduplicated; np.unique is several times slower here
-        dirty = np.sort(pred[_slices(starts, lens, int(lens.sum()))])
-        dirty = dirty[np.diff(dirty, prepend=-1) != 0]
+    for v in pending:
+        queued[v] = 1
+    lifts = 0
+    while pending:
+        v = pending.pop()
+        queued[v] = 0
+        lifts += 1
+        lifted = [lookup[a + level[w]] for a, w in outs[v]]
+        new = max(lifted) if eve[v] else min(lifted)
+        if new < level[v]:
+            level[v] = new
+            for u in preds[v]:
+                if not queued[u]:
+                    queued[u] = 1
+                    pending.append(u)
 
-    wins = aut.initial <= t[rank[np.asarray(roots, dtype=np.int64)]]
-    stats = {"path": "lifts", "lift_rounds": rounds, "vertex_lifts": lifts, "automaton_states": nq}
+    wins = [aut.initial <= level[v] for v in roots]
+    stats = {"path": "lifts", "vertex_lifts": lifts, "automaton_states": nq}
     return wins, stats
 
 
-def _pre_table(aut: SafetyAutomaton, colors: Sequence[Color]) -> np.ndarray:
-    """``pre(c, t)``, the largest state q with ``delta(q, c) <= t`` (-1 if
-    none), for the i-th color c and every t in [-1, state_count), as an int32
-    array indexed ``i * (state_count + 1) + t + 1``.  Raises
-    ``InvalidGameError`` if some color's ``delta`` is not monotone."""
-    nq, ncol = aut.state_count, len(colors)
+def _cone(ptr: np.ndarray, dst: np.ndarray, roots: Sequence[int]) -> np.ndarray:
+    """Boolean mask of the vertices reachable from ``roots`` along edges
+    sorted by source (CSR offsets ``ptr``, targets ``dst``)."""
+    seen = np.zeros(len(ptr) - 1, dtype=bool)
+    frontier = np.unique(np.asarray(roots, dtype=np.int64))
+    seen[frontier] = True
+    while frontier.size:
+        starts = ptr[frontier]
+        lens = ptr[frontier + 1] - starts
+        reached = dst[_slices(starts, lens, int(lens.sum()))]
+        frontier = np.unique(reached[~seen[reached]])
+        seen[frontier] = True
+    return seen
+
+
+def _is_monotone(table: np.ndarray) -> bool:
+    """Is every column of a transition table non-decreasing in the state,
+    with undefined (-1) counting as above every state?  Stops at the first
+    column that decreases."""
+    top = len(table)
+    for column in table.T:
+        ordered = np.where(column < 0, top, column)
+        if (ordered[1:] < ordered[:-1]).any():
+            return False
+    return True
+
+
+def _pre_table(table: np.ndarray, nq: int) -> np.ndarray:
+    """``pre(c, t)`` of a monotone transition table: the largest state q with
+    ``delta(q, c) <= t`` (-1 if none), for the i-th color c and every t in
+    [-1, nq), as an int32 array indexed ``i * (nq + 1) + t + 1``."""
+    ncol = table.shape[1]
     # undefined counts as above every state
-    table = _transition_table(aut, colors)
-    table[table < 0] = nq
-    if (np.diff(table, axis=0) < 0).any():
-        raise InvalidGameError("automaton is marked monotone but its delta is not")
+    ordered = np.where(table < 0, nq, table)
     # one search over the color columns laid end to end, each offset by
     # i * (nq + 2) so that no two columns' ranges meet
     stride = np.arange(ncol, dtype=np.int64)[:, None] * (nq + 2)
-    laid = (table.T + stride).ravel()
-    del table
+    laid = (ordered.T + stride).ravel()
+    del ordered
     pre = np.searchsorted(laid, (np.arange(-1, nq) + stride).ravel(), side="right") - 1
     pre -= np.repeat(np.arange(ncol, dtype=np.int64) * nq, nq + 1)
     return pre.astype(np.int32)
@@ -667,9 +645,10 @@ def _solve_roots(game: Game, aut: SafetyAutomaton, roots: Sequence[int]):
     """Does Eve win the chained game from ``(v, initial)``, for each root v?
     Returns (per-root win flags, stats dict naming the route in ``path``).
 
-    Products of at most ``_OBJECT_PATH_LIMIT`` pairs are built as objects;
-    larger ones are solved by lifts when the automaton is monotone and by
-    the flat product otherwise.
+    Products of at most ``_OBJECT_PATH_LIMIT`` pairs are built as objects.
+    For larger ones the transition table on the game's colors is filled
+    once; if it is monotone the game is solved by lifts, otherwise by the
+    flat product.
     """
     _check_alphabet(game, aut)
     if game.vertex_count * aut.state_count <= _OBJECT_PATH_LIMIT:
@@ -683,9 +662,10 @@ def _solve_roots(game: Game, aut: SafetyAutomaton, roots: Sequence[int]):
             "automaton_states": aut.state_count,
         }
         return flags, stats
-    if aut.monotone:
-        return _solve_lifts(game, aut, roots)
-    return _solve_flat(game, aut, roots)
+    table = _transition_table(aut, _game_colors(game.graph))
+    if _is_monotone(table):
+        return _solve_lifts(game, aut, roots, table)
+    return _solve_flat(game, aut, roots, table)
 
 
 def solve_via_separating(game: Game, v0: int, aut: SafetyAutomaton) -> bool:

@@ -375,7 +375,6 @@ def _cmd_solve(args) -> int:
             "automaton_states",
             "product_states",
             "product_edges",
-            "lift_rounds",
             "vertex_lifts",
         ):
             if key in stats:

@@ -192,8 +192,8 @@ def parity_separator(n: int, max_priority: int) -> SafetyAutomaton:
 
     ``delta`` is monotone in leaf order: for every p, a leaf left of another
     moves to a leaf no further right, and only a suffix of the leaves has p
-    undefined.  The automaton is marked ``monotone``, so games past desk
-    scale are solved by value iteration over this order.
+    undefined.  So games past desk scale are solved by value iteration over
+    this order (the solver checks it on the filled transition table).
 
     The row kernel reads a table ``T[p, q]``: the start of q's ancestor span
     at p's level for even p, its end (or -1 past the last leaf) for odd p.
@@ -238,7 +238,6 @@ def parity_separator(n: int, max_priority: int) -> SafetyAutomaton:
         delta=delta,
         state_label=state_label,
         row_kernel=row_kernel,
-        monotone=True,
     )
 
 

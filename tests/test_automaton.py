@@ -12,7 +12,6 @@ from sepgames import (
     AlphabetMismatchError,
     Game,
     Graph,
-    InvalidGameError,
     MeanPayoff,
     SafetyAutomaton,
     Safety,
@@ -358,31 +357,23 @@ def test_lifts_match_flat_product_and_recursive_solver():
         assert _flags_region(lifts) == _flags_region(_solve_flat(game, aut, roots)[0])
         assert _flags_region(lifts) == refs.zielonka_region(game)
         scalar = dataclasses.replace(aut, row_kernel=None)
-        assert scalar.monotone
         assert _flags_region(_solve_lifts(game, scalar, roots)[0]) == _flags_region(lifts)
 
 
-def test_lifts_reject_an_automaton_that_is_not_monotone():
-    # a counter's delta decreases on a negative weight (undefined at the
-    # bottom, counting as above every state), so the claim is false
-    game = Game(Graph(2, ((0, -1, 1), (1, 1, 0))), (EVE, ADAM), MeanPayoff(1))
-    aut = dataclasses.replace(mp_separator(2, 1), monotone=True)
-    with pytest.raises(InvalidGameError):
-        _solve_lifts(game, aut, [0, 1])
-    big = generate_game(100, 1, 3, MeanPayoff(6), seed=737)
-    aut = dataclasses.replace(build_separator(big.objective, 100), monotone=True)
-    assert 100 * aut.state_count > _OBJECT_PATH_LIMIT
-    with pytest.raises(InvalidGameError):
-        separating_winning_region(big, aut)
+def test_lifts_solve_only_the_cone_of_the_roots():
+    # two Eve cycles of priority 1 joined one way: from 0 both are reached,
+    # from 2 only the second; every lift lowers a threshold by one leaf
+    from sepgames import Parity
 
-
-def test_replacing_delta_keeps_monotone():
-    from sepgames import parity_separator
-
-    aut = parity_separator(5, 4)
-    traced = dataclasses.replace(aut, delta=lambda q, c: aut.delta(q, c))
-    assert aut.monotone and traced.monotone
-    assert not mp_separator(5, 2).monotone
+    n = 4
+    game = Game(Graph(n, ((0, 1, 1), (1, 1, 0), (1, 0, 2), (2, 1, 3), (3, 1, 2))), (EVE,) * n, Parity(1))
+    aut = build_separator(Parity(1), n)
+    flags, stats = _solve_lifts(game, aut, [2])
+    assert flags == [False]
+    cone = stats["vertex_lifts"]
+    flags, stats = _solve_lifts(game, aut, [0, 2])
+    assert flags == [False, False]
+    assert cone < stats["vertex_lifts"]
 
 
 def test_route_follows_size_and_monotonicity():
@@ -395,6 +386,18 @@ def test_route_follows_size_and_monotonicity():
         region, stats = separating_winning_region(game, aut, with_stats=True)
         assert stats["path"] == path
         assert solve_via_separating(game, 0, aut) == (0 in region)
+    # the route reads monotonicity off the game's colors: a counter's
+    # column decreases on a negative weight only
+    for weights, path in ((range(0, 7), "lifts"), (range(-6, 7), "product")):
+        rng = random.Random(737)
+        n = 100
+        edges = tuple({(u, rng.choice(weights), rng.randrange(n)) for u in range(n) for _ in range(2)})
+        game = Game(Graph(n, edges), tuple(rng.choice((EVE, ADAM)) for _ in range(n)), MeanPayoff(6))
+        aut = build_separator(game.objective, n)
+        assert n * aut.state_count > _OBJECT_PATH_LIMIT
+        region, stats = separating_winning_region(game, aut, with_stats=True)
+        assert stats["path"] == path
+        assert region == _flags_region(_solve_flat(game, aut, list(range(n)))[0])
 
 
 def test_parity_1000_vertices_8_priorities_matches_recursive_solver():

@@ -203,7 +203,6 @@ def test_cli_stats_name_the_lifts_path(tmp_path):
     lines = out.splitlines()
     assert lines[0] in ("WIN", "LOSE")
     assert "path: lifts" in lines and "automaton_states: 2393" in lines
-    assert any(line.startswith("lift_rounds: ") for line in lines)
     assert any(line.startswith("vertex_lifts: ") for line in lines)
     assert not any(line.startswith("product_") for line in lines)
 

@@ -18,6 +18,7 @@ from sepgames import (
     parity_mp_separator,
     parity_separator,
 )
+from sepgames.automaton import _is_monotone, _transition_table
 
 
 def _scalar_table(aut, colors, states):
@@ -83,12 +84,13 @@ def test_parity_delta_is_monotone_in_leaf_order(n, d):
     # the order value iteration relies on: each color's column of successors
     # never decreases, and undefined entries only fill a suffix of the leaves
     aut = parity_separator(n, d)
-    assert aut.monotone
     table = _scalar_table(aut, list(aut.alphabet.colors()), range(aut.state_count))
     for column in table.T:
         undefined = column < 0
         assert undefined[np.argmax(undefined) :].all() or not undefined.any()
         assert (np.diff(column[~undefined]) >= 0).all()
+    # and the solver's check, on the table its route fills, agrees
+    assert _is_monotone(_transition_table(aut, list(aut.alphabet.colors())))
 
 
 def test_parity_kernel_table_is_built_on_first_call_only(monkeypatch):
