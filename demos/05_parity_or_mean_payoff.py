@@ -25,7 +25,7 @@ from sepgames import (
 )
 
 d, big_n, n = 2, 1, 2
-aut = parity_mp_separator(parity_separator(n, d), mp_separator(n, big_n), d)
+aut = parity_mp_separator(parity_separator(n, d), mp_separator(n, big_n))
 print("combined automaton states:", aut.state_count, "=",
       f"(d+1) * |parity| * |counter| = {d + 1} * {parity_separator(n, d).state_count}"
       f" * {mp_separator(n, big_n).state_count}")
@@ -61,6 +61,6 @@ game = Game(
     (ADAM, EVE, EVE),
     ParityOrMeanPayoff(2, 1),
 )
-aut3 = parity_mp_separator(parity_separator(3, 2), mp_separator(3, 1), 2)
+aut3 = parity_mp_separator(parity_separator(3, 2), mp_separator(3, 1))
 print("separating region:", sorted(separating_winning_region(game, aut3)))
 print("brute-force region:", sorted(eve_winning_region_bruteforce(game)))

@@ -17,7 +17,6 @@ from .automaton import (
     solve_via_separating,
 )
 from .combos import (
-    combo_stats,
     disjmp_scc_separator,
     disjmp_separator,
     disjmp_state_count,

@@ -729,6 +729,24 @@ def _reduce_edges(alphabet: Objective, raw: list) -> list:
     raise InvalidGameError(f"unsupported alphabet {alphabet!r}")
 
 
+def _reachable(aut: SafetyAutomaton) -> tuple:
+    """States reachable from the initial state, in breadth-first discovery
+    order, and their defined transitions ``(q, c, t)`` in the order found."""
+    out = _effective_outgoing(aut)
+    order = [aut.initial]
+    seen = {aut.initial}
+    transitions = []
+    for q in order:  # grows while iterated: a breadth-first queue
+        for c, t in out(q):
+            if t is None:
+                continue
+            if t not in seen:
+                seen.add(t)
+                order.append(t)
+            transitions.append((q, c, t))
+    return order, transitions
+
+
 def reachable_graph(aut: SafetyAutomaton) -> Graph:
     """Graph induced by the automaton, restricted to states reachable from the
     initial state and re-indexed densely in discovery order.
@@ -737,23 +755,10 @@ def reachable_graph(aut: SafetyAutomaton) -> Graph:
     reduction leaves every negative-cycle / odd-cycle verdict unchanged while
     keeping vector alphabets tractable.
     """
-    out = _effective_outgoing(aut)
-    index = {aut.initial: 0}
-    order = [aut.initial]
-    raw = []
-    head = 0
-    while head < len(order):
-        q = order[head]
-        head += 1
-        for c, t in out(q):
-            if t is None:
-                continue
-            if t not in index:
-                index[t] = len(order)
-                order.append(t)
-            raw.append((index[q], c, index[t]))
-    edges = _reduce_edges(aut.alphabet, raw)
-    return Graph(len(order), tuple(edges))
+    order, transitions = _reachable(aut)
+    index = {q: i for i, q in enumerate(order)}
+    raw = [(index[q], c, index[t]) for q, c, t in transitions]
+    return Graph(len(order), tuple(_reduce_edges(aut.alphabet, raw)))
 
 
 def reachable_state_count(aut: SafetyAutomaton) -> int:
@@ -776,22 +781,8 @@ def _color_str(c: Color) -> str:
 def automaton_dot(aut: SafetyAutomaton) -> str:
     """Graphviz rendering: states as nodes, transitions as labeled edges.
     Enumerates the reduced outgoing representatives of reachable states."""
-    out = _effective_outgoing(aut)
+    order, transitions = _reachable(aut)
     lines = ["digraph automaton {", "  rankdir=LR;"]
-    index = {aut.initial: 0}
-    order = [aut.initial]
-    transitions = []
-    head = 0
-    while head < len(order):
-        q = order[head]
-        head += 1
-        for c, t in out(q):
-            if t is None:
-                continue
-            if t not in index:
-                index[t] = len(order)
-                order.append(t)
-            transitions.append((q, c, t))
     for q in order:
         shape = "doublecircle" if q == aut.initial else "circle"
         lines.append(f'  q{q} [label="{aut.label(q)}", shape={shape}];')

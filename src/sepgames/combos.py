@@ -44,14 +44,12 @@ __all__ = [
     "disjmp_scc_separator",
     "disjmp_separator",
     "disjmp_state_count",
-    "combo_stats",
 ]
 
 
 def parity_mp_separator(
     parity_aut: SafetyAutomaton,
     mp_aut: SafetyAutomaton,
-    max_priority: int,
     initial_priority: int = 0,
 ) -> SafetyAutomaton:
     """Product automaton for the disjunction of parity and mean payoff.
@@ -65,18 +63,17 @@ def parity_mp_separator(
 
     ``initial_priority`` is 0 so that the first reset feeds exactly the
     maximum priority seen so far, matching how runs decompose; the
-    alternative convention of starting at ``max_priority`` can be selected
-    for comparison.
+    alternative convention of starting at the parity automaton's
+    ``max_priority`` can be selected for comparison.
 
     The row kernel is composed from the two automata's row kernels the same
     way, and exists only if both have one.
     """
-    if not isinstance(parity_aut.alphabet, Parity) or parity_aut.alphabet.max_priority != max_priority:
-        raise AlphabetMismatchError(
-            f"parity automaton alphabet {parity_aut.alphabet!r} does not cover [0, {max_priority}]"
-        )
+    if not isinstance(parity_aut.alphabet, Parity):
+        raise AlphabetMismatchError(f"expected a priority alphabet, got {parity_aut.alphabet!r}")
     if not isinstance(mp_aut.alphabet, MeanPayoff):
         raise AlphabetMismatchError(f"expected a weight alphabet, got {mp_aut.alphabet!r}")
+    max_priority = parity_aut.alphabet.max_priority
     if not 0 <= initial_priority <= max_priority:
         raise InvalidGameError("initial_priority out of range")
     weight_bound = mp_aut.alphabet.weight_bound
@@ -264,21 +261,3 @@ def disjmp_separator(n: int, dimensions: int, weight_bound: int) -> SafetyAutoma
 def disjmp_state_count(n: int, dimensions: int, weight_bound: int) -> int:
     """Closed form: sum over x in u_n of d * ((x-1) * N + 1)."""
     return sum(dimensions * ((x - 1) * weight_bound + 1) for x in universal_sequence(n))
-
-
-def combo_stats(aut: SafetyAutomaton, bound: Optional[int] = None, game=None) -> dict:
-    """State count, alphabet size, closed-form bound, and (given a game) how
-    many automaton states the chained product actually reaches."""
-    stats = {
-        "states": aut.state_count,
-        "alphabet_size": aut.alphabet.alphabet_size,
-    }
-    if bound is not None:
-        stats["bound"] = bound
-    if game is not None:
-        from .automaton import _solve_flat
-
-        _, flat = _solve_flat(game, aut, list(range(game.vertex_count)))
-        stats["product_states"] = flat["product_states"]
-        stats["product_edges"] = flat["product_edges"]
-    return stats

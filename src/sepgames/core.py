@@ -19,9 +19,10 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
+import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping, Optional, Union
+from typing import ClassVar, Iterator, Mapping, Optional, Union
 
 import numpy as np
 
@@ -41,6 +42,7 @@ __all__ = [
     "ParityOrMeanPayoff",
     "MeanPayoffDisjunction",
     "Objective",
+    "OBJECTIVES",
     "Graph",
     "Game",
     "Path",
@@ -89,12 +91,18 @@ ADAM = Player.ADAM
 
 # ---------------------------------------------------------------------------
 # Objective descriptors
+#
+# An objective's parameters are its dataclass fields, in order; ``keyword``
+# names it in the game format and on the command line, and ``random_color``
+# draws a uniform color within its bounds (the random game generator's draws).
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Safety:
     """All infinite plays are fine; only Eve-controlled dead ends lose."""
+
+    keyword: ClassVar[str] = "safety"
 
     @property
     def color_arity(self) -> int:
@@ -108,6 +116,9 @@ class Safety:
     def colors(self) -> Iterator[Color]:
         yield None
 
+    def random_color(self, rng: random.Random) -> Color:
+        return None
+
     @property
     def alphabet_size(self) -> int:
         return 1
@@ -117,6 +128,7 @@ class Safety:
 class Parity:
     """Largest priority seen infinitely often must be even (max convention)."""
 
+    keyword: ClassVar[str] = "parity"
     max_priority: int
 
     def __post_init__(self) -> None:
@@ -137,6 +149,9 @@ class Parity:
     def colors(self) -> Iterator[Color]:
         return iter(range(self.max_priority + 1))
 
+    def random_color(self, rng: random.Random) -> Color:
+        return rng.randint(0, self.max_priority)
+
     @property
     def alphabet_size(self) -> int:
         return self.max_priority + 1
@@ -146,6 +161,7 @@ class Parity:
 class MeanPayoff:
     """liminf of the average weight must be >= 0; weights in [-N, N]."""
 
+    keyword: ClassVar[str] = "mp"
     weight_bound: int
 
     def __post_init__(self) -> None:
@@ -166,6 +182,9 @@ class MeanPayoff:
     def colors(self) -> Iterator[Color]:
         return iter(range(-self.weight_bound, self.weight_bound + 1))
 
+    def random_color(self, rng: random.Random) -> Color:
+        return rng.randint(-self.weight_bound, self.weight_bound)
+
     @property
     def alphabet_size(self) -> int:
         return 2 * self.weight_bound + 1
@@ -176,6 +195,7 @@ class ParityOrMeanPayoff:
     """A play wins if its priorities satisfy parity OR its weights satisfy
     mean payoff; colors are (priority, weight) pairs."""
 
+    keyword: ClassVar[str] = "parity-mp"
     max_priority: int
     weight_bound: int
 
@@ -203,6 +223,12 @@ class ParityOrMeanPayoff:
             for w in range(-self.weight_bound, self.weight_bound + 1)
         )
 
+    def random_color(self, rng: random.Random) -> Color:
+        return (
+            rng.randint(0, self.max_priority),
+            rng.randint(-self.weight_bound, self.weight_bound),
+        )
+
     @property
     def alphabet_size(self) -> int:
         return (self.max_priority + 1) * (2 * self.weight_bound + 1)
@@ -213,6 +239,7 @@ class MeanPayoffDisjunction:
     """A play wins if at least one of the d weight components satisfies mean
     payoff; colors are d-vectors of weights."""
 
+    keyword: ClassVar[str] = "disj-mp"
     dimensions: int
     weight_bound: int
 
@@ -240,12 +267,20 @@ class MeanPayoffDisjunction:
         rng = range(-self.weight_bound, self.weight_bound + 1)
         return itertools.product(*[rng] * self.dimensions)
 
+    def random_color(self, rng: random.Random) -> Color:
+        return tuple(
+            rng.randint(-self.weight_bound, self.weight_bound) for _ in range(self.dimensions)
+        )
+
     @property
     def alphabet_size(self) -> int:
         return (2 * self.weight_bound + 1) ** self.dimensions
 
 
 Objective = Union[Safety, Parity, MeanPayoff, ParityOrMeanPayoff, MeanPayoffDisjunction]
+OBJECTIVES = {
+    cls.keyword: cls for cls in (Safety, Parity, MeanPayoff, ParityOrMeanPayoff, MeanPayoffDisjunction)
+}
 
 
 # ---------------------------------------------------------------------------

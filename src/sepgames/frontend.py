@@ -17,6 +17,7 @@ exceeded or out of memory.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import random
 import sys
 import time
@@ -39,6 +40,7 @@ from .combos import (
 from .core import (
     ADAM,
     EVE,
+    OBJECTIVES,
     AlphabetMismatchError,
     Color,
     Game,
@@ -128,27 +130,8 @@ class _Tokens:
             raise ParseError(f"expected {what} (an integer), got {tok!r}", ln, col) from None
 
 
-_OBJECTIVE_KEYWORDS = {
-    "safety": (0, lambda ps: Safety()),
-    "parity": (1, lambda ps: Parity(ps[0])),
-    "mp": (1, lambda ps: MeanPayoff(ps[0])),
-    "parity-mp": (2, lambda ps: ParityOrMeanPayoff(ps[0], ps[1])),
-    "disj-mp": (2, lambda ps: MeanPayoffDisjunction(ps[0], ps[1])),
-}
-
-
 def objective_keyword(objective: Objective) -> str:
-    if isinstance(objective, Safety):
-        return "safety"
-    if isinstance(objective, Parity):
-        return f"parity {objective.max_priority}"
-    if isinstance(objective, MeanPayoff):
-        return f"mp {objective.weight_bound}"
-    if isinstance(objective, ParityOrMeanPayoff):
-        return f"parity-mp {objective.max_priority} {objective.weight_bound}"
-    if isinstance(objective, MeanPayoffDisjunction):
-        return f"disj-mp {objective.dimensions} {objective.weight_bound}"
-    raise InvalidGameError(f"unsupported objective {objective!r}")
+    return " ".join([objective.keyword, *map(str, dataclasses.astuple(objective))])
 
 
 def parse_game(text: str) -> Game:
@@ -161,14 +144,16 @@ def parse_game(text: str) -> Game:
 
     toks.expect("objective")
     kw, ln, col = toks.next("an objective keyword")
-    if kw not in _OBJECTIVE_KEYWORDS:
+    if kw not in OBJECTIVES:
         raise ParseError(
-            f"unknown objective {kw!r} (one of {', '.join(sorted(_OBJECTIVE_KEYWORDS))})", ln, col
+            f"unknown objective {kw!r} (one of {', '.join(sorted(OBJECTIVES))})", ln, col
         )
-    nparams, build = _OBJECTIVE_KEYWORDS[kw]
-    params = [toks.integer(f"objective parameter {i + 1}")[0] for i in range(nparams)]
+    kind = OBJECTIVES[kw]
+    params = [
+        toks.integer(f"objective parameter {i + 1}")[0] for i in range(len(dataclasses.fields(kind)))
+    ]
     try:
-        objective = build(params)
+        objective = kind(*params)
     except InvalidGameError as exc:
         raise ParseError(str(exc), ln, col) from None
 
@@ -251,26 +236,6 @@ def print_game(game: Game) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _random_color(rng: random.Random, objective: Objective) -> Color:
-    if isinstance(objective, Safety):
-        return None
-    if isinstance(objective, Parity):
-        return rng.randint(0, objective.max_priority)
-    if isinstance(objective, MeanPayoff):
-        return rng.randint(-objective.weight_bound, objective.weight_bound)
-    if isinstance(objective, ParityOrMeanPayoff):
-        return (
-            rng.randint(0, objective.max_priority),
-            rng.randint(-objective.weight_bound, objective.weight_bound),
-        )
-    if isinstance(objective, MeanPayoffDisjunction):
-        return tuple(
-            rng.randint(-objective.weight_bound, objective.weight_bound)
-            for _ in range(objective.dimensions)
-        )
-    raise InvalidGameError(f"unsupported objective {objective!r}")
-
-
 def generate_game(
     vertices: int,
     min_degree: int,
@@ -300,7 +265,7 @@ def generate_game(
         attempts = 0
         while len(chosen) < degree and attempts < 64 * (degree + 1):
             attempts += 1
-            candidate = (v, _random_color(rng, objective), rng.randrange(vertices))
+            candidate = (v, objective.random_color(rng), rng.randrange(vertices))
             if candidate not in chosen:
                 chosen.add(candidate)
                 edges.append(candidate)
@@ -312,23 +277,38 @@ def generate_game(
 # ---------------------------------------------------------------------------
 
 
+# objective class -> (separator builder, closed-form bound on its state count
+# or None where none is stated), both called as f(objective, n)
+_SEPARATORS = {
+    Parity: (
+        lambda o, n: parity_separator(n, o.max_priority),
+        lambda o, n: None if o.max_priority % 2 else parity_state_bound(n, o.max_priority),
+    ),
+    MeanPayoff: (
+        lambda o, n: mp_separator(n, o.weight_bound),
+        lambda o, n: (n - 1) * o.weight_bound + 1,
+    ),
+    ParityOrMeanPayoff: (
+        lambda o, n: parity_mp_separator(
+            parity_separator(n, o.max_priority), mp_separator(n, o.weight_bound)
+        ),
+        lambda o, n: (o.max_priority + 1)
+        * parity_separator(n, o.max_priority).state_count
+        * mp_separator(n, o.weight_bound).state_count,
+    ),
+    MeanPayoffDisjunction: (
+        lambda o, n: disjmp_separator(n, o.dimensions, o.weight_bound),
+        lambda o, n: disjmp_state_count(n, o.dimensions, o.weight_bound),
+    ),
+}
+
+
 def build_separator(objective: Objective, n: int) -> SafetyAutomaton:
     """The separating automaton matching an objective, sized for games with
     at most ``n`` vertices."""
-    n = max(n, 1)
-    if isinstance(objective, Parity):
-        return parity_separator(n, objective.max_priority)
-    if isinstance(objective, MeanPayoff):
-        return mp_separator(n, objective.weight_bound)
-    if isinstance(objective, ParityOrMeanPayoff):
-        return parity_mp_separator(
-            parity_separator(n, objective.max_priority),
-            mp_separator(n, objective.weight_bound),
-            objective.max_priority,
-        )
-    if isinstance(objective, MeanPayoffDisjunction):
-        return disjmp_separator(n, objective.dimensions, objective.weight_bound)
-    raise InvalidGameError(f"no separating automaton for objective {objective!r}")
+    if type(objective) not in _SEPARATORS:
+        raise InvalidGameError(f"no separating automaton for objective {objective!r}")
+    return _SEPARATORS[type(objective)][0](objective, max(n, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -350,22 +330,16 @@ def _cmd_solve(args) -> int:
     if not 0 <= v0 < game.vertex_count:
         raise InvalidGameError(f"start vertex {v0} out of range [0, {game.vertex_count})")
     stats: dict = {}
-    if args.algo == "oracle":
-        if isinstance(game.objective, Safety):
-            region = solve_safety(game).eve_wins
-        else:
-            region = eve_winning_region_bruteforce(game)
+    if isinstance(game.objective, Safety):
+        region = solve_safety(game).eve_wins
+    elif args.algo == "oracle":
+        region = eve_winning_region_bruteforce(game)
     else:
-        if isinstance(game.objective, Safety):
-            region = solve_safety(game).eve_wins
-        elif args.region or args.stats:
-            aut = build_separator(game.objective, game.vertex_count)
-            region, stats = separating_winning_region(game, aut, with_stats=True)
-        else:
-            aut = build_separator(game.objective, game.vertex_count)
-            win = solve_via_separating(game, v0, aut)
-            print("WIN" if win else "LOSE")
+        aut = build_separator(game.objective, game.vertex_count)
+        if not (args.region or args.stats):
+            print("WIN" if solve_via_separating(game, v0, aut) else "LOSE")
             return 0
+        region, stats = separating_winning_region(game, aut, with_stats=True)
     print("WIN" if v0 in region else "LOSE")
     if args.region:
         print("region: " + " ".join(str(v) for v in sorted(region)))
@@ -384,52 +358,31 @@ def _cmd_solve(args) -> int:
 
 def _cmd_automaton(args) -> int:
     objective = _objective_from_flags(args)
-    if isinstance(objective, (Safety,)):
-        raise InvalidGameError("safety games need no automaton")
     aut = build_separator(objective, args.n)
     if args.emit == "dot":
         print(automaton_dot(aut), end="")
         return 0
     print(f"states: {aut.state_count}")
     print(f"alphabet_size: {aut.alphabet.alphabet_size}")
-    if isinstance(objective, Parity) and objective.max_priority % 2 == 0:
-        print(f"bound: {parity_state_bound(args.n, objective.max_priority)}")
-    elif isinstance(objective, MeanPayoff):
-        print(f"bound: {(args.n - 1) * objective.weight_bound + 1}")
-    elif isinstance(objective, ParityOrMeanPayoff):
-        parts = (
-            objective.max_priority + 1,
-            parity_separator(args.n, objective.max_priority).state_count,
-            mp_separator(args.n, objective.weight_bound).state_count,
-        )
-        print(f"bound: {parts[0] * parts[1] * parts[2]}")
-    elif isinstance(objective, MeanPayoffDisjunction):
-        print(f"bound: {disjmp_state_count(args.n, objective.dimensions, objective.weight_bound)}")
+    bound = _SEPARATORS[type(objective)][1](objective, args.n)
+    if bound is not None:
+        print(f"bound: {bound}")
     return 0
 
 
+# objective parameter -> the CLI flag (``--d`` or ``--N``) that sets it
+_FLAGS = {"max_priority": "d", "dimensions": "d", "weight_bound": "N"}
+
+
 def _objective_from_flags(args) -> Objective:
-    kind = args.objective
-    if kind == "safety":
-        return Safety()
-    if kind == "parity":
-        _need(args.d is not None, "--d is required for parity")
-        return Parity(args.d)
-    if kind == "mp":
-        _need(args.N is not None, "--N is required for mp")
-        return MeanPayoff(args.N)
-    if kind == "parity-mp":
-        _need(args.d is not None and args.N is not None, "--d and --N are required for parity-mp")
-        return ParityOrMeanPayoff(args.d, args.N)
-    if kind == "disj-mp":
-        _need(args.d is not None and args.N is not None, "--d and --N are required for disj-mp")
-        return MeanPayoffDisjunction(args.d, args.N)
-    raise InvalidGameError(f"unknown objective {kind!r}")
-
-
-def _need(cond: bool, message: str) -> None:
-    if not cond:
-        raise InvalidGameError(message)
+    kind = OBJECTIVES[args.objective]
+    flags = [_FLAGS[f.name] for f in dataclasses.fields(kind)]
+    values = [getattr(args, flag) for flag in flags]
+    if None in values:
+        verb = "is" if len(flags) == 1 else "are"
+        named = " and ".join(f"--{flag}" for flag in flags)
+        raise InvalidGameError(f"{named} {verb} required for {kind.keyword}")
+    return kind(*values)
 
 
 def _cmd_generate(args) -> int:
@@ -465,12 +418,7 @@ def _cmd_bench(args) -> int:
             ("disj-mp", 5, 2, 2, 14),
         ]
         for kind, n, d, N, seed in rows:
-            objective = {
-                "parity": lambda: Parity(d),
-                "mp": lambda: MeanPayoff(N),
-                "parity-mp": lambda: ParityOrMeanPayoff(d, N),
-                "disj-mp": lambda: MeanPayoffDisjunction(d, N),
-            }[kind]()
+            objective = OBJECTIVES[kind](*(x for x in (d, N) if x is not None))
             game = generate_game(n, 1, 3, objective, seed)
             aut = build_separator(objective, n)
             t0 = time.perf_counter()
@@ -520,7 +468,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("automaton", help="emit a separating automaton")
-    p.add_argument("--objective", required=True, choices=["parity", "mp", "parity-mp", "disj-mp"])
+    p.add_argument("--objective", required=True, choices=[kind.keyword for kind in _SEPARATORS])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int)
     p.add_argument("--N", type=int)
@@ -531,7 +479,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vertices", type=int, required=True)
     p.add_argument("--min-degree", type=int, default=1)
     p.add_argument("--max-degree", type=int, default=3)
-    p.add_argument("--objective", required=True, choices=list(_OBJECTIVE_KEYWORDS))
+    p.add_argument("--objective", required=True, choices=list(OBJECTIVES))
     p.add_argument("--d", type=int)
     p.add_argument("--N", type=int)
     p.add_argument("--seed", type=int, default=0)

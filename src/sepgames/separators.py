@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .automaton import SafetyAutomaton
+from .automaton import SafetyAutomaton, _solve_flat
 from .core import InvalidGameError, MeanPayoff, Parity
 
 __all__ = [
@@ -289,13 +289,18 @@ def parity_state_bound(n: int, max_priority: int) -> int:
     return n * math.comb(logn + max_priority // 2 - 1, logn)
 
 
-def separator_stats(aut: SafetyAutomaton, bound: Optional[int] = None) -> dict:
-    """State count, alphabet size, and (optionally) the matching closed-form
-    size bound, side by side."""
+def separator_stats(aut: SafetyAutomaton, bound: Optional[int] = None, game=None) -> dict:
+    """State count, alphabet size, (optionally) the matching closed-form size
+    bound, and (given a game) the size of the chained product the game
+    reaches from all its vertices."""
     stats = {
         "states": aut.state_count,
         "alphabet_size": aut.alphabet.alphabet_size,
     }
     if bound is not None:
         stats["bound"] = bound
+    if game is not None:
+        _, flat = _solve_flat(game, aut, list(range(game.vertex_count)))
+        stats["product_states"] = flat["product_states"]
+        stats["product_edges"] = flat["product_edges"]
     return stats

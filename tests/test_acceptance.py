@@ -55,7 +55,7 @@ def _run_cli(args):
 
 
 def _pvmp(n, d, big_n):
-    return parity_mp_separator(parity_separator(n, d), mp_separator(n, big_n), d)
+    return parity_mp_separator(parity_separator(n, d), mp_separator(n, big_n))
 
 
 # ---------------------------------------------------------------------------

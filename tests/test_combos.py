@@ -12,7 +12,6 @@ from sepgames import (
     InvalidGameError,
     MeanPayoffDisjunction,
     accepts_all_paths,
-    combo_stats,
     disjmp_scc_separator,
     disjmp_separator,
     disjmp_state_count,
@@ -26,6 +25,7 @@ from sepgames import (
     parity_separator,
     reachable_graph,
     run,
+    separator_stats,
     universal_sequence,
     universal_sequence_constant,
     universal_sequence_size,
@@ -34,7 +34,7 @@ from sepgames import (
 
 def _pvmp(n, d, big_n, initial_priority=0):
     return parity_mp_separator(
-        parity_separator(n, d), mp_separator(n, big_n), d, initial_priority=initial_priority
+        parity_separator(n, d), mp_separator(n, big_n), initial_priority=initial_priority
     )
 
 
@@ -92,9 +92,9 @@ def test_pvmp_reset_discards_weight():
 
 def test_pvmp_alphabet_checks():
     with pytest.raises(AlphabetMismatchError):
-        parity_mp_separator(parity_separator(2, 3), mp_separator(2, 1), 2)
+        parity_mp_separator(mp_separator(2, 1), mp_separator(2, 1))
     with pytest.raises(AlphabetMismatchError):
-        parity_mp_separator(parity_separator(2, 2), parity_separator(2, 2), 2)
+        parity_mp_separator(parity_separator(2, 2), parity_separator(2, 2))
 
 
 def test_pvmp_soundness_small_grid():
@@ -453,7 +453,7 @@ def test_combo_stats_reports_product_sizes():
         (EVE, EVE),
         MeanPayoffDisjunction(2, 1),
     )
-    stats = combo_stats(aut, bound=disjmp_state_count(2, 2, 1), game=game)
+    stats = separator_stats(aut, bound=disjmp_state_count(2, 2, 1), game=game)
     assert stats["states"] == aut.state_count
     assert stats["bound"] == aut.state_count
     assert 0 < stats["product_states"] <= game.vertex_count * aut.state_count + 1

@@ -1,9 +1,12 @@
+import hashlib
+import importlib.util
 import io
 import os
 import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -144,6 +147,21 @@ def test_generator_is_seed_deterministic():
     assert print_game(a) != print_game(c)
 
 
+def test_generator_output_is_pinned():
+    # sha256 of the printed games over seeds 0-9, one objective per class:
+    # fixes the order of each objective's random_color draws
+    pinned = {
+        Safety(): "ac46a5ff940e16c3e5a28f7c9bceb62c68243302b2d03b0e788c662b3f9869eb",
+        Parity(3): "b34c99a6bebe61fa26c7494824a584f0d4f9ca94b3f62f2b9470808cd1280508",
+        MeanPayoff(2): "25da358c41ec74518daf6c5b1295b96355bcaa04f389f27ec0a61c6d9baa7384",
+        ParityOrMeanPayoff(2, 2): "4610dca25c740bd0c86537c6b864727183d98d33980d4297d24c00afbb46d5f8",
+        MeanPayoffDisjunction(3, 1): "99a49ac0e1f06eb8be8dce33bf83553c2d6ab3b06021d5ac1d911c21f893d3ac",
+    }
+    for objective, digest in pinned.items():
+        text = "".join(print_game(generate_game(7, 0, 3, objective, seed)) for seed in range(10))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, objective
+
+
 def test_generator_degrees_in_range():
     game = generate_game(6, 1, 3, MeanPayoff(2), seed=7)
     degrees = [game.graph.out_degree(v) for v in range(6)]
@@ -251,6 +269,8 @@ def test_cli_invariant_violation_exit_code(tmp_path):
     f.write_text(MINIMAL)
     code, _, err = _run_cli(["solve", "--input", str(f), "--from", "5"])
     assert code == 3 and "out of range" in err
+    code, _, err = _run_cli(["generate", "--vertices", "3", "--objective", "parity-mp", "--d", "2"])
+    assert code == 3 and "--d and --N are required for parity-mp" in err
 
 
 def test_cli_guard_exit_code(tmp_path):
@@ -309,6 +329,13 @@ def test_cli_automaton_stats_and_dot():
     )
     assert code == 0 and out.startswith("digraph") and "doublecircle" in out
 
+    code, out, _ = _run_cli(["automaton", "--objective", "mp", "--n", "4", "--N", "2"])
+    assert code == 0 and out.splitlines() == ["states: 7", "alphabet_size: 5", "bound: 7"]
+
+    # no closed-form bound is stated for parity with odd d
+    code, out, _ = _run_cli(["automaton", "--objective", "parity", "--n", "3", "--d", "3"])
+    assert code == 0 and "states:" in out and "bound:" not in out
+
     code, out, _ = _run_cli(
         ["automaton", "--objective", "parity-mp", "--n", "2", "--d", "2", "--N", "1", "--emit", "stats"]
     )
@@ -330,6 +357,13 @@ def test_cli_generate_writes_parseable_output(tmp_path):
     assert game.vertex_count == 5
     assert game.objective == MeanPayoffDisjunction(2, 1)
 
+    code, _, _ = _run_cli(
+        ["generate", "--vertices", "3", "--objective", "safety", "--output", str(out_file)]
+    )
+    assert code == 0
+    game = parse_game(out_file.read_text())
+    assert game.objective == Safety() and all(c is None for _, c, _ in game.graph.edges)
+
 
 def test_cli_bench_small_emits_table():
     code, out, _ = _run_cli(["bench", "--suite", "small"])
@@ -339,6 +373,42 @@ def test_cli_bench_small_emits_table():
     assert len(lines) == 5
     for row in lines[1:]:
         assert len(row.split("\t")) == 6
+
+
+def test_benchmark_tracer_installs_and_undoes(tmp_path):
+    # perfbench/tracing.py wraps these attributes by name; a rename or a
+    # removal would break the traced benchmark run
+    from sepgames import automaton, core, frontend, safety
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    patched = [
+        (frontend, "cli"),
+        (frontend, "parse_game"),
+        (frontend, "build_separator"),
+        (frontend, "separating_winning_region"),
+        (frontend, "solve_via_separating"),
+        (automaton, "accepts_all_paths"),
+        (automaton, "solve_safety"),
+        (automaton, "_attract"),
+        (safety, "_attract"),
+        (core.Graph, "__init__"),
+    ]
+    originals = [getattr(owner, attr) for owner, attr in patched]
+    f = tmp_path / "min.game"
+    f.write_text(MINIMAL)
+    tracer = tracing.Tracer()
+    undo = tracing.install(tracer)
+    try:
+        assert all(getattr(o, a) is not orig for (o, a), orig in zip(patched, originals))
+        code, out, _ = _run_cli(["solve", "--input", str(f), "--from", "0", "--region"])
+    finally:
+        undo()
+    assert code == 0 and out.splitlines()[0] == "WIN"
+    assert {"frontend.parse_game", "frontend.build_separator"} <= {rec[0] for rec in tracer.spans}
+    assert all(getattr(o, a) is orig for (o, a), orig in zip(patched, originals))
 
 
 def test_cli_usage_error_exit_code():

@@ -60,7 +60,7 @@ def test_mp_kernel_is_delta(n, N):
 def test_parity_mp_kernel_is_delta(n, d, N):
     for initial_priority in (0, d):
         aut = parity_mp_separator(
-            parity_separator(n, d), mp_separator(n, N), d, initial_priority=initial_priority
+            parity_separator(n, d), mp_separator(n, N), initial_priority=initial_priority
         )
         _assert_kernel_is_delta(aut)
 
@@ -74,7 +74,7 @@ def test_disjmp_kernel_is_delta(n, d):
 def test_naive_general_kernel_is_delta():
     _assert_kernel_is_delta(naive_general_separator(parity_separator(3, 3), 3))
     _assert_kernel_is_delta(naive_general_separator(mp_separator(4, 2), 4))
-    pvmp = parity_mp_separator(parity_separator(2, 2), mp_separator(2, 1), 2)
+    pvmp = parity_mp_separator(parity_separator(2, 2), mp_separator(2, 1))
     _assert_kernel_is_delta(naive_general_separator(pvmp, 3))
 
 
