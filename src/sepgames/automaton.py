@@ -10,22 +10,21 @@ per-priority leaf spans it tabulates on first use); the lifts and the flat
 product below fill their states x colors transition table with it in one
 pass.
 
-Solving a game through a separating automaton takes one of three routes,
-chosen in ``_solve_roots`` by size and by the automaton:
+Solving a game through a separating automaton fills that table once, on
+the game's colors, and takes one of two routes, chosen in ``_solve_roots``
+by the table alone:
 
-* object: builds the product game explicitly (inspectable, exportable to
-  DOT) and hands it to ``solve_safety``; used while vertices times automaton
-  states stay at desk scale.
-* lifts: when ``delta`` is monotone in state order on the game's colors
-  (checked on the table), value iteration keeps one threshold state per
-  game vertex and never builds the product; memory is O(states x colors +
-  edges).
-* product: a flat numpy pipeline that breadth-first explores integer-coded
-  product states, gives each reached one a compact id (so its arrays grow
-  with the reached product rather than with vertices times automaton
-  states), and runs the attractor of the safety solver on them.
+* lifts: when ``delta`` is monotone in Eve's order of the states (the
+  automaton's ``rank``; leaf order for parity, counters from the top down),
+  value iteration keeps one threshold rank per game vertex and never builds
+  the product; memory is O(states x colors + edges).
+* product: otherwise, a flat numpy pipeline that breadth-first explores
+  integer-coded product states, gives each reached one a compact id (so its
+  arrays grow with the reached product rather than with vertices times
+  automaton states), and runs the attractor of the safety solver on them.
 
-All three compute the winning region of the same chained safety game.
+Both compute the winning region of the same chained safety game, which
+``chained_game`` builds as an object for inspection and DOT export.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from .core import (
     ParityOrMeanPayoff,
     Safety,
 )
-from .safety import _attract, solve_safety
+from .safety import _attract, solve_safety  # noqa: F401  perfbench/tracing.py wraps solve_safety
 
 __all__ = [
     "SafetyAutomaton",
@@ -68,10 +67,6 @@ __all__ = [
     "automaton_dot",
     "chained_game_dot",
 ]
-
-# products up to this many (vertex, state) pairs go through the explicit
-# object pipeline; larger ones use the flat integer-coded solver
-_OBJECT_PATH_LIMIT = 50_000
 
 # states per row-kernel call when the flat path fills its transition table;
 # caps the kernels' temporaries at a few (chunk x colors) int64 arrays
@@ -93,7 +88,8 @@ class SafetyAutomaton:
     vector alphabets).  ``row_kernel``, when present, is the vectorized
     ``delta``: ``row_kernel(colors)`` returns a function mapping an int array
     of k states to the (k, len(colors)) int array of their successors, -1
-    where ``delta`` is undefined.
+    where ``delta`` is undefined.  ``rank`` is Eve's order of the states, a
+    permutation with lower ranks no worse for her; ``None`` is state order.
     """
 
     state_count: int
@@ -104,6 +100,7 @@ class SafetyAutomaton:
     outgoing: Optional[Callable[[int], Sequence[tuple[Color, Optional[int]]]]] = None
     state_label: Optional[Callable[[int], str]] = None
     row_kernel: Optional[RowKernel] = None
+    rank: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         if self.state_count < 1:
@@ -201,7 +198,9 @@ def _chain(blocks: tuple) -> SafetyAutomaton:
     The state set is the disjoint union of the blocks' states; a letter
     undefined in the current block jumps (consuming the letter) to the next
     block's initial state, and is undefined only in the last block.  The
-    chain has a row kernel only if every block has one.
+    chain has a row kernel only if every block has one.  It ranks block by
+    block; a jump lands on a block's initial state, first in counters' and
+    trees' ranks, so chains of those stay monotone.
     """
     alphabet = blocks[0].alphabet
     for b in blocks[1:]:
@@ -258,6 +257,12 @@ def _chain(blocks: tuple) -> SafetyAutomaton:
 
         return rows
 
+    rank = None
+    if any(b.rank is not None for b in blocks):
+        sizes = [b.state_count for b in blocks]
+        ranks = [np.arange(k) if b.rank is None else b.rank for k, b in zip(sizes, blocks)]
+        rank = np.concatenate(ranks) + np.repeat(np.array(offsets[:-1]), sizes)
+
     return SafetyAutomaton(
         state_count=total,
         initial=blocks[0].initial,
@@ -267,6 +272,7 @@ def _chain(blocks: tuple) -> SafetyAutomaton:
         outgoing=outgoing,
         state_label=state_label,
         row_kernel=row_kernel if all(b.row_kernel for b in blocks) else None,
+        rank=rank,
     )
 
 
@@ -290,7 +296,7 @@ def sequential_fold(auts: Sequence[SafetyAutomaton]) -> SafetyAutomaton:
 
 
 # ---------------------------------------------------------------------------
-# Chained game (object pipeline)
+# Chained game (the product as objects, for inspection)
 # ---------------------------------------------------------------------------
 
 
@@ -298,7 +304,7 @@ def sequential_fold(auts: Sequence[SafetyAutomaton]) -> SafetyAutomaton:
 class ChainedGame:
     """Safety game synchronizing a game with an automaton.
 
-    Only product states reachable from the requested roots are materialized.
+    Only product states reachable from the root are materialized.
     ``bottom`` is the Eve-owned losing sink reached on undefined transitions,
     present only if some undefined transition is reachable.  ``edge_origin``
     maps each product edge to the index of the game edge that induced it.
@@ -316,7 +322,10 @@ class ChainedGame:
         return self.state_ids[(v, q)]
 
 
-def _build_chained(game: Game, aut: SafetyAutomaton, roots: Sequence[int]) -> ChainedGame:
+def chained_game(game: Game, aut: SafetyAutomaton, v0: int) -> ChainedGame:
+    """Product safety game reachable from ``(v0, initial)``."""
+    if not 0 <= v0 < game.vertex_count:
+        raise InvalidGameError(f"start vertex {v0} out of range")
     _check_alphabet(game, aut)
     succ = game.graph.successors
     delta = aut.delta
@@ -342,7 +351,7 @@ def _build_chained(game: Game, aut: SafetyAutomaton, roots: Sequence[int]) -> Ch
         edge_index[e[0]].append(i)
 
     bottom: Optional[int] = None
-    root_ids = [intern(v, aut.initial) for v in roots]
+    root = intern(v0, aut.initial)
     edges: list = []
     origins: list = []
     head = 0
@@ -375,18 +384,11 @@ def _build_chained(game: Game, aut: SafetyAutomaton, roots: Sequence[int]) -> Ch
         game=product,
         state_ids=ids,
         bottom=bottom,
-        roots=tuple(root_ids),
+        roots=(root,),
         product_pairs=tuple(pairs),
         edge_origin=tuple(origins),
         source=game,
     )
-
-
-def chained_game(game: Game, aut: SafetyAutomaton, v0: int) -> ChainedGame:
-    """Product safety game reachable from ``(v0, initial)``."""
-    if not 0 <= v0 < game.vertex_count:
-        raise InvalidGameError(f"start vertex {v0} out of range")
-    return _build_chained(game, aut, [v0])
 
 
 def _check_alphabet(game: Game, aut: SafetyAutomaton) -> None:
@@ -514,27 +516,28 @@ def _solve_flat(game: Game, aut: SafetyAutomaton, roots: Sequence[int], table=No
     wins = ~_attract(count, srcs, dsts, eve, seed)[root_ids]
     stats = {
         "path": "product",
+        "automaton_states": nq,
         "product_states": count,
         "product_edges": edge_total,
-        "automaton_states": nq,
     }
     return wins, stats
 
 
 def _solve_lifts(game: Game, aut: SafetyAutomaton, roots: Sequence[int], table=None):
     """Solve the chained game by value iteration, without building the
-    product.  Valid only when ``delta`` is monotone on the game's colors (see
-    ``_is_monotone``); ``table`` is its transition table on them, filled here
-    when not given.
+    product.  Valid only when ``delta`` is monotone in the automaton's rank
+    order on the game's colors (see ``_is_monotone``); ``table`` is its
+    ranked transition table on them (``_ranked``), filled here when not
+    given.
 
-    Since a lower state is then never worse for Eve, the states from which
-    she wins at vertex v are those up to a threshold ``t[v]`` (-1 when there
-    are none).  The thresholds are the greatest fixpoint of
+    Since a lower rank is then never worse for Eve, the states from which
+    she wins at vertex v are those ranked up to a threshold ``t[v]`` (-1
+    when there are none).  The thresholds are the greatest fixpoint of
 
         t[v] = max (Eve) or min (Adam) over edges (v, c, w) of pre(c, t[w]),
 
-    where ``pre(c, t)`` is the largest state q with ``delta(q, c) <= t``, or
-    -1.  Iteration starts with every threshold at the top state and Eve-owned
+    where ``pre(c, t)`` is the largest rank r with ``delta(r, c) <= t``, or
+    -1.  Iteration starts with every threshold at the last rank and Eve-owned
     sinks at -1, and lifts the vertices of the roots' cone one at a time
     from a LIFO worklist, which gets a vertex back whenever one of its
     successors drops.  Returns (per-root win flags, stats dict).
@@ -543,7 +546,7 @@ def _solve_lifts(game: Game, aut: SafetyAutomaton, roots: Sequence[int], table=N
     n, nq = g.vertex_count, aut.state_count
     colors, src, dst, cid = _sorted_edges(g)
     if table is None:
-        table = _transition_table(aut, colors)
+        table = _ranked(_transition_table(aut, colors), aut.rank)
     lookup = memoryview(_pre_table(table, nq))  # indexes as Python ints, without a copy
 
     # only the edges leaving the game vertices reachable from the roots
@@ -581,8 +584,9 @@ def _solve_lifts(game: Game, aut: SafetyAutomaton, roots: Sequence[int], table=N
                     queued[u] = 1
                     pending.append(u)
 
-    wins = [aut.initial <= level[v] for v in roots]
-    stats = {"path": "lifts", "vertex_lifts": lifts, "automaton_states": nq}
+    initial = aut.initial if aut.rank is None else int(aut.rank[aut.initial])
+    wins = [initial <= level[v] for v in roots]
+    stats = {"path": "lifts", "automaton_states": nq, "vertex_lifts": lifts}
     return wins, stats
 
 
@@ -611,6 +615,16 @@ def _is_monotone(table: np.ndarray) -> bool:
         if (ordered[1:] < ordered[:-1]).any():
             return False
     return True
+
+
+def _ranked(table: np.ndarray, rank: Optional[np.ndarray]) -> np.ndarray:
+    """A transition table renumbered by ``rank``: row ``rank[q]`` holds the
+    ranks of q's successors, -1 where undefined.  The table itself when
+    ``rank`` is ``None``."""
+    if rank is None:
+        return table
+    targets = table[np.argsort(rank)]
+    return np.where(targets < 0, -1, rank.astype(np.int32)[targets])
 
 
 def _pre_table(table: np.ndarray, nq: int) -> np.ndarray:
@@ -645,26 +659,15 @@ def _solve_roots(game: Game, aut: SafetyAutomaton, roots: Sequence[int]):
     """Does Eve win the chained game from ``(v, initial)``, for each root v?
     Returns (per-root win flags, stats dict naming the route in ``path``).
 
-    Products of at most ``_OBJECT_PATH_LIMIT`` pairs are built as objects.
-    For larger ones the transition table on the game's colors is filled
-    once; if it is monotone the game is solved by lifts, otherwise by the
-    flat product.
+    The transition table on the game's colors is filled once.  If it is
+    monotone in the automaton's rank order the game is solved by lifts,
+    otherwise by the flat product.
     """
     _check_alphabet(game, aut)
-    if game.vertex_count * aut.state_count <= _OBJECT_PATH_LIMIT:
-        chain = _build_chained(game, aut, roots)
-        region = solve_safety(chain.game)
-        flags = [chain.product_vertex(v, aut.initial) in region.eve_wins for v in roots]
-        stats = {
-            "path": "object",
-            "product_states": chain.game.vertex_count,
-            "product_edges": chain.game.graph.edge_count,
-            "automaton_states": aut.state_count,
-        }
-        return flags, stats
     table = _transition_table(aut, _game_colors(game.graph))
-    if _is_monotone(table):
-        return _solve_lifts(game, aut, roots, table)
+    ranked = _ranked(table, aut.rank)
+    if _is_monotone(ranked):
+        return _solve_lifts(game, aut, roots, ranked)
     return _solve_flat(game, aut, roots, table)
 
 

@@ -32,7 +32,7 @@ from .core import (
     Parity,
     ParityOrMeanPayoff,
 )
-from .separators import _counter_rows, mp_separator
+from .separators import mp_separator
 
 __all__ = [
     "parity_mp_separator",
@@ -207,8 +207,7 @@ def _component_counter(k: int, dimensions: int, weight_bound: int, component: in
         result = []
         seen = set()
         for w in range(-weight_bound, weight_bound + 1):
-            s = q + w
-            t = None if s < 0 else (s if s < top else top)
+            t = base.delta(q, w)
             if t in seen:
                 continue
             seen.add(t)
@@ -217,17 +216,15 @@ def _component_counter(k: int, dimensions: int, weight_bound: int, component: in
             result.append((tuple(vec), t))
         return result
 
-    def state_label(q: int) -> str:
-        return f"c{component}={q}"
-
     return SafetyAutomaton(
         state_count=base.state_count,
         initial=base.initial,
         alphabet=MeanPayoffDisjunction(dimensions, weight_bound),
         delta=delta,
         outgoing=outgoing,
-        state_label=state_label,
-        row_kernel=lambda colors: _counter_rows(top, [c[component] for c in colors]),
+        state_label=lambda q: f"c{component}={q}",
+        row_kernel=lambda colors: base.row_kernel([c[component] for c in colors]),
+        rank=base.rank,
     )
 
 
@@ -253,9 +250,10 @@ def disjmp_separator(n: int, dimensions: int, weight_bound: int) -> SafetyAutoma
     into u_n, so each component meets a copy large enough for it."""
     if n < 1:
         raise InvalidGameError("need n >= 1")
-    return sequential_fold(
-        [disjmp_scc_separator(x, dimensions, weight_bound) for x in universal_sequence(n)]
-    )
+    # sizes repeat along u_n; each distinct one is built once
+    sizes = universal_sequence(n)
+    sccs = {x: disjmp_scc_separator(x, dimensions, weight_bound) for x in set(sizes)}
+    return sequential_fold([sccs[x] for x in sizes])
 
 
 def disjmp_state_count(n: int, dimensions: int, weight_bound: int) -> int:

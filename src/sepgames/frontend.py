@@ -344,15 +344,8 @@ def _cmd_solve(args) -> int:
     if args.region:
         print("region: " + " ".join(str(v) for v in sorted(region)))
     if args.stats:
-        for key in (
-            "path",
-            "automaton_states",
-            "product_states",
-            "product_edges",
-            "vertex_lifts",
-        ):
-            if key in stats:
-                print(f"{key}: {stats[key]}")
+        for key, value in stats.items():
+            print(f"{key}: {value}")
     return 0
 
 
@@ -424,7 +417,7 @@ def _cmd_bench(args) -> int:
             t0 = time.perf_counter()
             _, stats = separating_winning_region(game, aut, with_stats=True)
             ms = (time.perf_counter() - t0) * 1000
-            print(_bench_line(n, d, N, aut.state_count, stats["product_states"], ms))
+            print(_bench_line(n, d, N, aut.state_count, stats.get("product_states"), ms))
         return 0
 
     # scaling: disj-mp growth plus the plain safety solver at scale

@@ -192,8 +192,8 @@ def parity_separator(n: int, max_priority: int) -> SafetyAutomaton:
 
     ``delta`` is monotone in leaf order: for every p, a leaf left of another
     moves to a leaf no further right, and only a suffix of the leaves has p
-    undefined.  So games past desk scale are solved by value iteration over
-    this order (the solver checks it on the filled transition table).
+    undefined.  So parity games are solved by value iteration over this
+    order (the solver checks it on the filled transition table).
 
     The row kernel reads a table ``T[p, q]``: the start of q's ancestor span
     at p's level for even p, its end (or -1 past the last leaf) for odd p.
@@ -248,6 +248,7 @@ def mp_separator(n: int, weight_bound: int) -> SafetyAutomaton:
 
     Graphs without negative cycles keep every infix sum above -(n-1)*N, so
     starting from the top the counter never falls below zero on their paths.
+    A higher counter is never worse for Eve: states rank ``top - q``.
     """
     if n < 1 or weight_bound < 0:
         raise InvalidGameError("mp separator needs n >= 1 and weight_bound >= 0")
@@ -265,6 +266,7 @@ def mp_separator(n: int, weight_bound: int) -> SafetyAutomaton:
         alphabet=MeanPayoff(weight_bound),
         delta=delta,
         row_kernel=lambda colors: _counter_rows(top, colors),
+        rank=np.arange(top, -1, -1),
     )
 
 
@@ -282,9 +284,12 @@ def _counter_rows(top: int, weights: Sequence[int]):
 
 def parity_state_bound(n: int, max_priority: int) -> int:
     """Closed-form bound on the parity separator's state count,
-    ``n * C(ceil(log2 n) + d/2 - 1, ceil(log2 n))`` for even d."""
+    ``n * C(ceil(log2 n) + d/2 - 1, ceil(log2 n))`` for even d >= 2, and 1
+    for d = 0."""
     if max_priority % 2:
         raise InvalidGameError("the closed-form bound is stated for even max_priority")
+    if max_priority == 0:
+        return 1  # a tree of height 0 is a single leaf
     logn = math.ceil(math.log2(n)) if n > 1 else 0
     return n * math.comb(logn + max_priority // 2 - 1, logn)
 

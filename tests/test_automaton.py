@@ -25,9 +25,10 @@ from sepgames import (
     separating_winning_region,
     sequential_fold,
     sequential_product,
+    solve_safety,
     solve_via_separating,
 )
-from sepgames.automaton import _OBJECT_PATH_LIMIT, _solve_flat, _solve_lifts
+from sepgames.automaton import _solve_flat, _solve_lifts
 from sepgames.frontend import build_separator, generate_game
 
 
@@ -266,14 +267,17 @@ def test_flat_and_object_paths_agree():
             game = generate_game(n, 0, 3, obj, seed=rng.randrange(10**9))
             aut = build_separator(obj, n)
             flags, stats = _solve_flat(game, aut, list(range(n)))
-            flat_region = frozenset(v for v in range(n) if flags[v])
-            assert flat_region == separating_winning_region(game, aut)
             assert stats["product_states"] <= n * aut.state_count + 1
+            # the inspectable object product, solved by the safety solver
+            for v in range(n):
+                chain = chained_game(game, aut, v)
+                won = chain.product_vertex(v, aut.initial) in solve_safety(chain.game).eve_wins
+                assert bool(flags[v]) == won
+            assert frozenset(v for v in range(n) if flags[v]) == separating_winning_region(game, aut)
 
 
 def _flat_region(game, aut):
     n = game.vertex_count
-    assert n * aut.state_count > _OBJECT_PATH_LIMIT  # really the flat path
     flags, _ = _solve_flat(game, aut, list(range(n)))
     return frozenset(v for v in range(n) if flags[v])
 
@@ -360,6 +364,31 @@ def test_lifts_match_flat_product_and_recursive_solver():
         assert _flags_region(_solve_lifts(game, scalar, roots)[0]) == _flags_region(lifts)
 
 
+def test_ranked_counter_lifts_match_flat_product_and_value_iteration():
+    # counters are lifted in rank order (top counter first): mixed-sign
+    # weights, with sinks of both owners
+    from sepgames import MeanPayoffDisjunction
+
+    rng = random.Random(740)
+    sinks, signs = set(), set()
+    for _ in range(60):
+        n = rng.randint(1, 60)
+        disjunction = MeanPayoffDisjunction(rng.randint(1, 3), rng.randint(1, 2))
+        for objective in (MeanPayoff(rng.randint(1, 3)), disjunction):
+            game = generate_game(n, 0, 3, objective, seed=rng.randrange(10**9))
+            aut = build_separator(objective, n)
+            roots = list(range(n))
+            lifts, stats = _solve_lifts(game, aut, roots)
+            assert stats["path"] == "lifts"
+            region = _flags_region(lifts)
+            assert region == _flags_region(_solve_flat(game, aut, roots)[0])
+            if isinstance(objective, MeanPayoff):
+                assert region == refs.mp_value_iteration_region(game)
+                signs |= {(c > 0) - (c < 0) for (_, c, _) in game.graph.edges}
+            sinks |= {game.owner[v] for v in range(n) if not game.graph.successors[v]}
+    assert sinks == {EVE, ADAM} and signs == {-1, 0, 1}
+
+
 def test_lifts_solve_only_the_cone_of_the_roots():
     # two Eve cycles of priority 1 joined one way: from 0 both are reached,
     # from 2 only the second; every lift lowers a threshold by one leaf
@@ -377,26 +406,35 @@ def test_lifts_solve_only_the_cone_of_the_roots():
 
 
 def test_route_follows_size_and_monotonicity():
-    from sepgames import MeanPayoffDisjunction, Parity
+    from sepgames import MeanPayoffDisjunction, Parity, ParityOrMeanPayoff
 
-    cases = ((Parity(4), 5, "object"), (Parity(8), 60, "lifts"), (MeanPayoffDisjunction(2, 2), 80, "product"))
+    # one rule at every size: lifts when the table is monotone in the
+    # automaton's rank order, the product otherwise; counters rank from the
+    # top down, so mean payoff and its disjunctions take lifts too
+    cases = (
+        (Parity(4), 5, "lifts"),
+        (Parity(8), 60, "lifts"),
+        (MeanPayoffDisjunction(2, 2), 5, "lifts"),
+        (MeanPayoffDisjunction(2, 2), 80, "lifts"),
+        (ParityOrMeanPayoff(3, 2), 5, "product"),
+        (ParityOrMeanPayoff(4, 2), 12, "product"),
+    )
     for objective, n, path in cases:
         game = generate_game(n, 1, 3, objective, seed=738)
         aut = build_separator(objective, n)
         region, stats = separating_winning_region(game, aut, with_stats=True)
         assert stats["path"] == path
         assert solve_via_separating(game, 0, aut) == (0 in region)
-    # the route reads monotonicity off the game's colors: a counter's
-    # column decreases on a negative weight only
-    for weights, path in ((range(0, 7), "lifts"), (range(-6, 7), "product")):
+        assert region == _flags_region(_solve_flat(game, aut, list(range(n)))[0])
+    # a counter's column in state order decreases on a negative weight only,
+    # in rank order on none
+    for weights, n in ((range(0, 7), 100), (range(-6, 7), 100), (range(-6, 7), 6)):
         rng = random.Random(737)
-        n = 100
         edges = tuple({(u, rng.choice(weights), rng.randrange(n)) for u in range(n) for _ in range(2)})
         game = Game(Graph(n, edges), tuple(rng.choice((EVE, ADAM)) for _ in range(n)), MeanPayoff(6))
         aut = build_separator(game.objective, n)
-        assert n * aut.state_count > _OBJECT_PATH_LIMIT
         region, stats = separating_winning_region(game, aut, with_stats=True)
-        assert stats["path"] == path
+        assert stats["path"] == "lifts"
         assert region == _flags_region(_solve_flat(game, aut, list(range(n)))[0])
 
 
@@ -436,7 +474,6 @@ def test_flat_product_states_count_reached_pairs():
     for objective, n in ((Parity(6), 60), (MeanPayoffDisjunction(2, 2), 80)):
         game = generate_game(n, 1, 3, objective, seed=rng.randrange(10**9))
         aut = build_separator(objective, n)
-        assert n * aut.state_count > _OBJECT_PATH_LIMIT
         for roots in ([0], list(range(n))):
             _, stats = _solve_flat(game, aut, roots)
             assert stats["product_states"] == _reached_pairs(game, aut, roots)

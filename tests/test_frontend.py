@@ -199,8 +199,9 @@ def test_cli_solve_minimal(tmp_path):
 
 
 def test_cli_solve_region_and_stats(tmp_path):
+    # parity-mp has no monotone order, so the product is built and sized
     f = tmp_path / "g.game"
-    game = generate_game(5, 1, 2, Parity(2), seed=3)
+    game = generate_game(5, 1, 2, ParityOrMeanPayoff(3, 2), seed=3)
     f.write_text(print_game(game))
     code, out, _ = _run_cli(
         ["solve", "--input", str(f), "--from", "0", "--region", "--stats"]
@@ -209,11 +210,11 @@ def test_cli_solve_region_and_stats(tmp_path):
     lines = out.splitlines()
     assert lines[0] in ("WIN", "LOSE")
     assert lines[1].startswith("region:")
+    assert "path: product" in lines
     assert any(line.startswith("product_states:") for line in lines)
 
 
 def test_cli_stats_name_the_lifts_path(tmp_path):
-    # 60 vertices x 2,393 leaves is past the object path: value iteration
     f = tmp_path / "g.game"
     f.write_text(print_game(generate_game(60, 1, 3, Parity(8), seed=5)))
     code, out, _ = _run_cli(["solve", "--input", str(f), "--from", "0", "--stats"])
@@ -288,14 +289,19 @@ def test_cli_out_of_memory_exit_code(tmp_path, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(automaton, "_solve_flat", exhausted)
-    game = generate_game(80, 1, 3, MeanPayoffDisjunction(2, 2), seed=4)
-    f = tmp_path / "big.game"
-    f.write_text(print_game(game))
-    for extra in ([], ["--region"]):
-        code, out, err = _run_cli(["solve", "--input", str(f), "--from", "0"] + extra)
-        assert code == 4 and out == ""
-        assert err.startswith("error:") and len(err.splitlines()) == 1
+    # parity-mp takes the product route, disj-mp the lifts; a route that
+    # is not reached would let the solve print its verdict
+    routes = ((ParityOrMeanPayoff(3, 2), "_solve_flat"), (MeanPayoffDisjunction(2, 2), "_solve_lifts"))
+    for objective, route in routes:
+        game = generate_game(12, 1, 3, objective, seed=4)
+        f = tmp_path / "big.game"
+        f.write_text(print_game(game))
+        with monkeypatch.context() as patch:
+            patch.setattr(automaton, route, exhausted)
+            for extra in ([], ["--region"]):
+                code, out, err = _run_cli(["solve", "--input", str(f), "--from", "0"] + extra)
+                assert code == 4 and out == ""
+                assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_module_entry_points_solve(tmp_path):
@@ -331,6 +337,11 @@ def test_cli_automaton_stats_and_dot():
 
     code, out, _ = _run_cli(["automaton", "--objective", "mp", "--n", "4", "--N", "2"])
     assert code == 0 and out.splitlines() == ["states: 7", "alphabet_size: 5", "bound: 7"]
+
+    # a 0-priority tree is a single leaf, whatever n
+    for n in ("1", "4"):
+        code, out, _ = _run_cli(["automaton", "--objective", "parity", "--n", n, "--d", "0"])
+        assert code == 0 and out.splitlines() == ["states: 1", "alphabet_size: 1", "bound: 1"]
 
     # no closed-form bound is stated for parity with odd d
     code, out, _ = _run_cli(["automaton", "--objective", "parity", "--n", "3", "--d", "3"])

@@ -12,13 +12,14 @@ import numpy as np
 import pytest
 
 from sepgames import (
+    disjmp_scc_separator,
     disjmp_separator,
     mp_separator,
     naive_general_separator,
     parity_mp_separator,
     parity_separator,
 )
-from sepgames.automaton import _is_monotone, _transition_table
+from sepgames.automaton import _is_monotone, _ranked, _transition_table
 
 
 def _scalar_table(aut, colors, states):
@@ -105,3 +106,35 @@ def test_parity_kernel_table_is_built_on_first_call_only(monkeypatch):
     aut.row_kernel([0, 3])
     aut.row_kernel([8])
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "aut",
+    [
+        mp_separator(1, 2),
+        mp_separator(2, 1),
+        mp_separator(7, 3),
+        disjmp_scc_separator(4, 1, 2),
+        disjmp_scc_separator(5, 3, 1),
+        disjmp_separator(6, 2, 2),
+        disjmp_separator(9, 3, 1),
+        naive_general_separator(mp_separator(4, 2), 4),
+    ],
+    ids=lambda aut: f"{type(aut.alphabet).__name__}-{aut.state_count}",
+)
+def test_counter_ranks_order_delta_monotonically(aut):
+    # counters rank from the top down and chains block by block: the order
+    # in which value iteration sees a monotone table
+    assert aut.rank is not None
+    assert sorted(aut.rank.tolist()) == list(range(aut.state_count))
+    table = _transition_table(aut, list(aut.alphabet.colors()))
+    assert _is_monotone(_ranked(table, aut.rank))
+    if aut.state_count > 1:
+        # in state order a negative weight leaves the low counters undefined
+        assert not _is_monotone(table)
+
+
+def test_parity_and_parity_mp_keep_state_order():
+    assert parity_separator(5, 4).rank is None
+    assert naive_general_separator(parity_separator(3, 3), 3).rank is None
+    assert parity_mp_separator(parity_separator(3, 2), mp_separator(3, 1)).rank is None

@@ -114,7 +114,7 @@ def test_parity_state_count_is_leaf_count():
 
 def test_parity_state_count_within_binomial_bound():
     for n in range(1, 33):
-        for d in (2, 4, 6, 8):
+        for d in (0, 2, 4, 6, 8):
             assert parity_separator(n, d).state_count <= parity_state_bound(n, d)
 
 
