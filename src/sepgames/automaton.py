@@ -19,12 +19,14 @@ by the table alone:
   value iteration keeps one threshold rank per game vertex and never builds
   the product; memory is O(states x colors + edges).
 * product: otherwise, a flat numpy pipeline that breadth-first explores
-  integer-coded product states, gives each reached one a compact id (so its
-  arrays grow with the reached product rather than with vertices times
-  automaton states), and runs the attractor of the safety solver on them.
+  integer-coded product states (``_explore``), gives each reached one a
+  compact id (so its arrays grow with the reached product rather than with
+  vertices times automaton states), and runs the attractor of the safety
+  solver on them.
 
-Both compute the winning region of the same chained safety game, which
-``chained_game`` builds as an object for inspection and DOT export.
+Both compute the winning region of the same chained safety game.
+``chained_game`` decodes that explorer's product into objects, with ids in
+its discovery order, for inspection and DOT export.
 """
 
 from __future__ import annotations
@@ -296,18 +298,20 @@ def sequential_fold(auts: Sequence[SafetyAutomaton]) -> SafetyAutomaton:
 
 
 # ---------------------------------------------------------------------------
-# Chained game (the product as objects, for inspection)
+# Chained game (the explored product as objects, for inspection)
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ChainedGame:
-    """Safety game synchronizing a game with an automaton.
+    """Safety game synchronizing a game with an automaton, decoded from the
+    product explorer (``_explore``).
 
-    Only product states reachable from the root are materialized.
-    ``bottom`` is the Eve-owned losing sink reached on undefined transitions,
-    present only if some undefined transition is reachable.  ``edge_origin``
-    maps each product edge to the index of the game edge that induced it.
+    Only product states reachable from the root are materialized, with ids
+    in the explorer's discovery order.  ``bottom`` is the Eve-owned losing
+    sink reached on undefined transitions, present only if some undefined
+    transition is reachable.  ``edge_origin`` maps each product edge to the
+    index of the game edge that induced it.
     """
 
     game: Game
@@ -323,70 +327,40 @@ class ChainedGame:
 
 
 def chained_game(game: Game, aut: SafetyAutomaton, v0: int) -> ChainedGame:
-    """Product safety game reachable from ``(v0, initial)``."""
+    """Product safety game reachable from ``(v0, initial)``, as the explorer
+    of the flat product finds it.  Like that route, it fills the automaton's
+    transition table on the game's colors and allocates the dense code -> id
+    map, 4 bytes per (vertex, state) code.  Parallel product edges (game
+    edges of one vertex that lead to the same product state, the sink
+    included) are merged into the first one."""
     if not 0 <= v0 < game.vertex_count:
         raise InvalidGameError(f"start vertex {v0} out of range")
     _check_alphabet(game, aut)
-    succ = game.graph.successors
-    delta = aut.delta
-    ids: dict = {}
-    pairs: list = []
-    owner: list = []
-    order: list = []
-
-    def intern(v: int, q: int) -> int:
-        key = (v, q)
-        pid = ids.get(key)
-        if pid is None:
-            pid = len(pairs)
-            ids[key] = pid
-            pairs.append(key)
-            owner.append(game.owner[v])
-            order.append(key)
-        return pid
-
-    # per-vertex indices into graph.edges, aligned with successors order
-    edge_index: list = [[] for _ in range(game.vertex_count)]
-    for i, e in enumerate(game.graph.edges):
-        edge_index[e[0]].append(i)
-
-    bottom: Optional[int] = None
-    root = intern(v0, aut.initial)
-    edges: list = []
-    origins: list = []
-    head = 0
-    while head < len(order):
-        v, q = order[head]
-        src = ids[(v, q)]
-        head += 1
-        seen_targets = set()
-        for gi, (c, w) in enumerate(succ[v]):
-            t = delta(q, c)
-            if t is None:
-                if bottom is None:
-                    bottom = len(pairs)
-                    pairs.append(None)
-                    owner.append(EVE)
-                tgt = bottom
-            else:
-                tgt = intern(w, t)
-            if tgt in seen_targets:
-                continue
-            seen_targets.add(tgt)
-            edges.append((src, None, tgt))
-            origins.append(edge_index[v][gi])
+    g = game.graph
+    n, nq = g.vertex_count, aut.state_count
+    codes, srcs, dsts, roots = _explore(g, aut, [v0])
+    # the k-th edge of product state (v, q) comes from the k-th edge of v:
+    # the explorer sorts the game's edges stably by source
+    gptr = np.concatenate(([0], np.cumsum(np.bincount(g._src_array, minlength=n))))
+    k = np.arange(srcs.size) - np.searchsorted(srcs, srcs)
+    origins = np.argsort(g._src_array, kind="stable")[gptr[codes[srcs] // nq] + k]
+    pairs = tuple(divmod(c, nq) if c < n * nq else None for c in codes.tolist())
+    bottom = pairs.index(None) if None in pairs else None
+    edges: dict = {}
+    for u, w, o in zip(srcs.tolist(), dsts.tolist(), origins.tolist()):
+        edges.setdefault((u, None, w), o)
     product = Game(
         graph=Graph(len(pairs), tuple(edges)),
-        owner=tuple(owner),
+        owner=tuple(EVE if p is None else game.owner[p[0]] for p in pairs),
         objective=Safety(),
     )
     return ChainedGame(
         game=product,
-        state_ids=ids,
+        state_ids={p: i for i, p in enumerate(pairs) if p is not None},
         bottom=bottom,
-        roots=(root,),
-        product_pairs=tuple(pairs),
-        edge_origin=tuple(origins),
+        roots=tuple(roots.tolist()),
+        product_pairs=pairs,
+        edge_origin=tuple(edges.values()),
         source=game,
     )
 
@@ -432,23 +406,27 @@ def _transition_table(aut: SafetyAutomaton, colors: Sequence[Color]) -> np.ndarr
     return table
 
 
-def _solve_flat(game: Game, aut: SafetyAutomaton, roots: Sequence[int], table=None):
-    """Solve the chained game without materializing python objects.
+def _explore(graph: Graph, aut: SafetyAutomaton, roots: Sequence[int], table=None):
+    """Breadth-first exploration of the product of ``graph`` with ``aut``
+    from ``(v, initial)`` for each root v, without python objects.
 
-    Product states are coded ``v * state_count + q``; the losing sink gets the
-    one-past-the-end code.  ``table`` holds the automaton's transitions on
-    the game's colors (``_transition_table``); it is filled here, through
-    the row kernel when there is one, when not given.  Each
-    reached code gets an int32 id in discovery order through one dense
-    code -> id map, and every later array is indexed by id, so it grows with
-    the reached product rather than with the code range.  Returns (per-root
-    win flags, stats dict).
+    Product states are coded ``v * state_count + q``; the losing sink, where
+    an undefined transition leads, gets the one-past-the-end code and no
+    edges.  ``table`` holds the automaton's transitions on the graph's
+    colors (``_transition_table``); it is filled here, through the row
+    kernel when there is one, when not given.  Each reached code gets an
+    int32 id in discovery order through one dense code -> id map, and every
+    later array is indexed by id, so it grows with the reached product
+    rather than with the code range.  The edges of product state (v, q)
+    follow the edges of v in graph order, one each, parallel ones included.
+
+    Returns the reached codes in id order (int64), the edges as int32 arrays
+    of source and target ids sorted by source, and the roots' ids.
     """
-    g = game.graph
-    n, nq = g.vertex_count, aut.state_count
+    n, nq = graph.vertex_count, aut.state_count
     bot = n * nq
 
-    colors, gsrc, gdst, gcid = _sorted_edges(g)
+    colors, gsrc, gdst, gcid = _sorted_edges(graph)
     ncol = len(colors)
     # vertex n stands for the sink and has no edges
     gptr = np.zeros(n + 2, dtype=np.int64)
@@ -479,7 +457,6 @@ def _solve_flat(game: Game, aut: SafetyAutomaton, roots: Sequence[int], table=No
     number(root_codes)
     outdeg_chunks: list = []
     dst_chunks: list = []
-    edge_total = 0
     for level in codes:
         # ``codes`` grows while this loop runs: one chunk per BFS level
         fv = level // nq
@@ -500,25 +477,38 @@ def _solve_flat(game: Game, aut: SafetyAutomaton, roots: Sequence[int], table=No
             number(fresh)
             tid[unseen] = ids[fresh]
         dst_chunks.append(tid)
-        edge_total += total
 
     root_ids = ids[root_codes]
     del ids
-    eve_game = np.fromiter((o is EVE for o in game.owner), dtype=bool, count=n)
-    eve = np.append(eve_game, True)[np.concatenate(codes) // nq]
-    del codes
-    outdeg = np.concatenate(outdeg_chunks)
+    srcs = np.repeat(np.arange(count, dtype=np.int32), np.concatenate(outdeg_chunks))
     del outdeg_chunks
-    srcs = np.repeat(np.arange(count, dtype=np.int32), outdeg)
     dsts = np.concatenate(dst_chunks) if dst_chunks else np.zeros(0, dtype=np.int32)
-    del dst_chunks
-    seed = np.flatnonzero(eve & (outdeg == 0)).astype(np.int32)
+    return np.concatenate(codes), srcs, dsts, root_ids
+
+
+def _solve_flat(game: Game, aut: SafetyAutomaton, roots: Sequence[int], table=None):
+    """Solve the chained game on the integer-coded product of ``_explore``
+    (``table`` as there): Adam attracts to the Eve-owned dead ends, the
+    losing sink among them.  Returns (per-root win flags, stats dict).
+    """
+    g = game.graph
+    n, nq = g.vertex_count, aut.state_count
+    codes, srcs, dsts, root_ids = _explore(g, aut, roots, table)
+    count = codes.size
+    vertex = codes // nq
+    del codes
+    # per game vertex, the sink (vertex n) last: Eve-owned, and without edges
+    eve = np.append(np.fromiter((o is EVE for o in game.owner), dtype=bool, count=n), True)
+    stuck = eve & np.append(np.bincount(g._src_array, minlength=n) == 0, True)
+    seed = np.flatnonzero(stuck[vertex]).astype(np.int32)
+    eve = eve[vertex]
+    del vertex
     wins = ~_attract(count, srcs, dsts, eve, seed)[root_ids]
     stats = {
         "path": "product",
         "automaton_states": nq,
         "product_states": count,
-        "product_edges": edge_total,
+        "product_edges": srcs.size,
     }
     return wins, stats
 

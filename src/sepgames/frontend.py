@@ -350,6 +350,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_automaton(args) -> int:
+    if args.n < 1:
+        raise InvalidGameError(f"--n must be at least 1, got {args.n}")
     objective = _objective_from_flags(args)
     aut = build_separator(objective, args.n)
     if args.emit == "dot":

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .automaton import SafetyAutomaton, _solve_flat
+from .automaton import SafetyAutomaton, _explore
 from .core import InvalidGameError, MeanPayoff, Parity
 
 __all__ = [
@@ -305,7 +305,7 @@ def separator_stats(aut: SafetyAutomaton, bound: Optional[int] = None, game=None
     if bound is not None:
         stats["bound"] = bound
     if game is not None:
-        _, flat = _solve_flat(game, aut, list(range(game.vertex_count)))
-        stats["product_states"] = flat["product_states"]
-        stats["product_edges"] = flat["product_edges"]
+        codes, srcs, _, _ = _explore(game.graph, aut, range(game.vertex_count))
+        stats["product_states"] = codes.size
+        stats["product_edges"] = srcs.size
     return stats

@@ -212,13 +212,33 @@ def test_chained_undefined_goes_to_bottom():
     assert chain.game.graph.is_sink(bottom)
 
 
-def test_chained_size_bound_and_edge_origins():
+def _chained_inputs():
+    """Games with their separators, all four families, then chains with a
+    block that has no row kernel."""
+    from conftest import random_objective
+
     rng = random.Random(31)
-    for _ in range(60):
+    for kind in ("parity", "mp", "parity-mp", "disj-mp"):
+        for _ in range(15):
+            n = rng.randint(1, 5)
+            obj = random_objective(rng, kind)
+            yield generate_game(n, 0, 3, obj, seed=rng.randrange(10**9)), build_separator(obj, n)
+    for _ in range(15):
+        table = {(q, c): rng.randrange(2) for q in range(2) for c in (-1, 0, 1) if rng.random() < 0.7}
         n = rng.randint(1, 5)
-        game = generate_game(n, 0, 3, MeanPayoff(2), seed=rng.randrange(10**9))
-        aut = mp_separator(n, 2)
-        chain = chained_game(game, aut, 0)
+        game = generate_game(n, 0, 3, MeanPayoff(1), seed=rng.randrange(10**9))
+        yield game, sequential_fold([mp_separator(n, 1), _table_automaton(2, 0, table)])
+
+
+def test_chained_size_bound_and_edge_origins():
+    # the explorer checked against the scalar ``delta``
+    rng = random.Random(32)
+    bottoms = 0
+    for game, aut in _chained_inputs():
+        n = game.vertex_count
+        v0 = rng.randrange(n)
+        chain = chained_game(game, aut, v0)
+        assert chain.roots[0] == chain.product_vertex(v0, aut.initial)
         assert chain.game.vertex_count <= n * aut.state_count + 1
         # ownership is inherited from the game component
         for pid, pair in enumerate(chain.product_pairs):
@@ -234,6 +254,8 @@ def test_chained_size_bound_and_edge_origins():
                 assert dst == chain.bottom
             else:
                 assert chain.product_pairs[dst] == (v, t)
+        bottoms += chain.bottom is not None
+    assert bottoms > 0
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +290,7 @@ def test_flat_and_object_paths_agree():
             aut = build_separator(obj, n)
             flags, stats = _solve_flat(game, aut, list(range(n)))
             assert stats["product_states"] <= n * aut.state_count + 1
-            # the inspectable object product, solved by the safety solver
+            # the product decoded by chained_game, solved by the safety solver
             for v in range(n):
                 chain = chained_game(game, aut, v)
                 won = chain.product_vertex(v, aut.initial) in solve_safety(chain.game).eve_wins

@@ -354,6 +354,19 @@ def test_cli_automaton_stats_and_dot():
     # (d+1) * |parity states| * |counter states| = 3 * 2 * 2
     assert "states: 12" in out and "bound: 12" in out
 
+    # no automaton is sized for fewer than one vertex; rejected before any output
+    for argv in (
+        ["--objective", "mp", "--n", "0", "--N", "2"],
+        ["--objective", "mp", "--n", "-5", "--N", "2"],
+        ["--objective", "parity", "--n", "0", "--d", "4"],
+        ["--objective", "disj-mp", "--n", "0", "--d", "2", "--N", "1"],
+        ["--objective", "parity-mp", "--n", "0", "--d", "2", "--N", "1"],
+        ["--objective", "parity", "--n", "0", "--d", "2", "--emit", "dot"],
+    ):
+        code, out, err = _run_cli(["automaton"] + argv)
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
 
 def test_cli_generate_writes_parseable_output(tmp_path):
     out_file = tmp_path / "gen.game"
@@ -410,15 +423,23 @@ def test_benchmark_tracer_installs_and_undoes(tmp_path):
     originals = [getattr(owner, attr) for owner, attr in patched]
     f = tmp_path / "min.game"
     f.write_text(MINIMAL)
+    # parity-mp takes the product route, whose attractor the tracer counts
+    product = tmp_path / "product.game"
+    product.write_text(print_game(generate_game(6, 1, 3, ParityOrMeanPayoff(3, 2), seed=4)))
     tracer = tracing.Tracer()
     undo = tracing.install(tracer)
     try:
         assert all(getattr(o, a) is not orig for (o, a), orig in zip(patched, originals))
         code, out, _ = _run_cli(["solve", "--input", str(f), "--from", "0", "--region"])
+        product_code, product_out, _ = _run_cli(["solve", "--input", str(product), "--from", "0", "--stats"])
     finally:
         undo()
     assert code == 0 and out.splitlines()[0] == "WIN"
-    assert {"frontend.parse_game", "frontend.build_separator"} <= {rec[0] for rec in tracer.spans}
+    assert product_code == 0 and "path: product" in product_out.splitlines()
+    names = {rec[0] for rec in tracer.spans}
+    assert {"frontend.parse_game", "frontend.build_separator", "safety.attract"} <= names
+    book = [rec[tracing.COUNTS] for rec in tracer.spans if rec[0] == "trace.bookkeeping"]
+    assert book and all(counts["automaton.product_states"] > 0 for counts in book)
     assert all(getattr(o, a) is orig for (o, a), orig in zip(patched, originals))
 
 
