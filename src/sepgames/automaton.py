@@ -18,15 +18,17 @@ by the table alone:
   automaton's ``rank``; leaf order for parity, counters from the top down),
   value iteration keeps one threshold rank per game vertex and never builds
   the product; memory is O(states x colors + edges).
-* product: otherwise, a flat numpy pipeline that breadth-first explores
-  integer-coded product states (``_explore``), gives each reached one a
-  compact id (so its arrays grow with the reached product rather than with
-  vertices times automaton states), and runs the attractor of the safety
-  solver on them.
+* product: otherwise, Adam's attractor on the integer-coded product of the
+  roots' cone with every state (``_solve_flat``).  It neither explores the
+  product nor stores its edges: predecessors are generated level by level
+  from the game's edges by target and the table's preimages per color, and
+  each code holds one int32 counter; memory is O(cone vertices x states +
+  states x colors).
 
-Both compute the winning region of the same chained safety game.
-``chained_game`` decodes that explorer's product into objects, with ids in
-its discovery order, for inspection and DOT export.
+Both compute the winning region of the same chained safety game.  The
+breadth-first explorer ``_explore`` gives the product states reached from
+the roots compact ids; ``chained_game`` decodes its product into objects,
+with ids in its discovery order, for inspection and DOT export.
 """
 
 from __future__ import annotations
@@ -52,7 +54,10 @@ from .core import (
     ParityOrMeanPayoff,
     Safety,
 )
-from .safety import _attract, solve_safety  # noqa: F401  perfbench/tracing.py wraps solve_safety
+# _attract and solve_safety are not called here, but stay module attributes:
+# perfbench/tracing.py replaces both by name on install, and a traced run
+# fails without them
+from .safety import _SMALL_FRONTIER, _absorb, _attract, _slices, solve_safety  # noqa: F401
 
 __all__ = [
     "SafetyAutomaton",
@@ -327,10 +332,10 @@ class ChainedGame:
 
 
 def chained_game(game: Game, aut: SafetyAutomaton, v0: int) -> ChainedGame:
-    """Product safety game reachable from ``(v0, initial)``, as the explorer
-    of the flat product finds it.  Like that route, it fills the automaton's
-    transition table on the game's colors and allocates the dense code -> id
-    map, 4 bytes per (vertex, state) code.  Parallel product edges (game
+    """Product safety game reachable from ``(v0, initial)``, as ``_explore``
+    finds it.  It fills the automaton's transition table on the game's
+    colors and allocates the dense code -> id map, 4 bytes per (vertex,
+    state) code.  Parallel product edges (game
     edges of one vertex that lead to the same product state, the sink
     included) are merged into the first one."""
     if not 0 <= v0 < game.vertex_count:
@@ -487,30 +492,119 @@ def _explore(graph: Graph, aut: SafetyAutomaton, roots: Sequence[int], table=Non
 
 
 def _solve_flat(game: Game, aut: SafetyAutomaton, roots: Sequence[int], table=None):
-    """Solve the chained game on the integer-coded product of ``_explore``
-    (``table`` as there): Adam attracts to the Eve-owned dead ends, the
-    losing sink among them.  Returns (per-root win flags, stats dict).
+    """Solve the chained game by Adam's attractor on the integer-coded
+    product, without exploring it or storing any of its edges.  Returns
+    (per-root win flags, stats dict).
+
+    Codes are ``i * state_count + q`` for the i-th vertex of the roots' cone
+    in the game and every state q; the losing sink, where an undefined
+    transition leads, is the one-past-the-end code.  ``table`` holds the
+    automaton's transitions on the game's colors (``_transition_table``),
+    filled here when not given.  The attractor ranges over every code,
+    reached from the roots or not: the reached codes are closed under
+    successors, so on them it is the same.
+
+    The predecessors of (w, t) are generated level by level: (v, q) for each
+    game edge (v, c, w) and each q with ``table[q, c] == t``, read off the
+    table's preimages (``_preimages``); the sink's are (v, q) for every game
+    edge and each q undefined on its color.  Per code there is a single
+    int32, 4 bytes: a counter of the edges it still needs into the
+    attractor (the game out-degree for Eve, 1 for Adam, 0 for Eve dead ends
+    and the sink), which is <= 0 once the code is attracted.  The stats
+    give the codes spanned (``product_states``) and those attracted
+    (``attracted``), the route's work.
     """
     g = game.graph
-    n, nq = g.vertex_count, aut.state_count
-    codes, srcs, dsts, root_ids = _explore(g, aut, roots, table)
-    count = codes.size
-    vertex = codes // nq
-    del codes
-    # per game vertex, the sink (vertex n) last: Eve-owned, and without edges
-    eve = np.append(np.fromiter((o is EVE for o in game.owner), dtype=bool, count=n), True)
-    stuck = eve & np.append(np.bincount(g._src_array, minlength=n) == 0, True)
-    seed = np.flatnonzero(stuck[vertex]).astype(np.int32)
-    eve = eve[vertex]
-    del vertex
-    wins = ~_attract(count, srcs, dsts, eve, seed)[root_ids]
+    nq = aut.state_count
+    colors, src, dst, cid = _sorted_edges(g)
+    if table is None:
+        table = _transition_table(aut, colors)
+    state_ptr, state_of = _preimages(table)
+
+    # the game restricted to the roots' cone, its vertices renumbered densely
+    ptr = np.zeros(g.vertex_count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=g.vertex_count), out=ptr[1:])
+    inside = _cone(ptr, dst, roots)
+    index = np.cumsum(inside) - 1
+    keep = inside[src]
+    src, dst, cid = index[src[keep]], index[dst[keep]], cid[keep]
+    n, m = int(inside.sum()), src.size
+    bot = n * nq
+
+    # the edges into each vertex by target, then every edge again as an edge
+    # into the sink (vertex n); each as its source's code base and the
+    # preimage group of its color, which the sink's copy offsets to the
+    # undefined slot
+    order = np.argsort(dst)
+    rptr = np.zeros(n + 2, dtype=np.int64)
+    np.cumsum(np.bincount(dst, minlength=n), out=rptr[1 : n + 1])
+    rptr[n + 1] = 2 * m
+    base = np.concatenate((src[order], src)) * nq
+    group = np.concatenate((cid[order], cid)) * (nq + 1)
+    group[m:] += nq
+
+    eve = np.fromiter((o is EVE for o in game.owner), dtype=bool, count=g.vertex_count)[inside]
+    counter = np.empty(bot + 1, dtype=np.int32)
+    counter[:bot].reshape(n, nq)[:] = np.where(eve, np.bincount(src, minlength=n), 1)[:, None]
+    counter[bot] = 0
+
+    def preds(frontier: np.ndarray) -> np.ndarray:
+        w = frontier // nq
+        starts = rptr[w]
+        lens = rptr[w + 1] - starts
+        e = _slices(starts, lens, int(lens.sum()))
+        slot = group[e] + np.repeat(frontier - w * nq, lens)
+        starts = state_ptr[slot]
+        lens = state_ptr[slot + 1] - starts
+        return np.repeat(base[e], lens) + state_of[_slices(starts, lens, int(lens.sum()))]
+
+    # the seed level, the sink's predecessors among them, is swept at once
+    pending = _absorb(counter, preds(np.flatnonzero(counter == 0)))
+    # indexed as Python ints, without a copy
+    cnt, rp, bs, gr, sp, so = map(memoryview, (counter, rptr, base, group, state_ptr, state_of))
+    while len(pending):
+        if len(pending) <= _SMALL_FRONTIER:
+            if not isinstance(pending, list):
+                pending = pending.tolist()
+            w, t = divmod(pending.pop(), nq)
+            for j in range(rp[w], rp[w + 1]):
+                b, s = bs[j], gr[j] + t
+                for k in range(sp[s], sp[s + 1]):
+                    u = b + so[k]
+                    left = cnt[u]
+                    if left > 0:
+                        cnt[u] = left - 1
+                        if left == 1:
+                            pending.append(u)
+            continue
+        pending = _absorb(counter, preds(np.asarray(pending)))
+
+    wins = counter[index[np.asarray(roots, dtype=np.int64)] * nq + aut.initial] > 0
     stats = {
         "path": "product",
         "automaton_states": nq,
-        "product_states": count,
-        "product_edges": srcs.size,
+        "product_states": bot + 1,
+        "attracted": int(np.count_nonzero(counter <= 0)),
     }
     return wins, stats
+
+
+def _preimages(table: np.ndarray):
+    """The states x colors transition ``table`` inverted, as a CSR: the
+    states q with ``table[q, i] == t`` are ``states[ptr[g] : ptr[g + 1]]``
+    for the group g = i * (nq + 1) + t, and those undefined on the i-th
+    color stand under t = nq.  Each (q, i) is listed once, in no particular
+    order within its group.  Returns (int64 ptr, int32 states)."""
+    nq, ncol = table.shape
+    keys = np.where(table < 0, nq, table).T.astype(np.int64)
+    keys += np.arange(ncol)[:, None] * (nq + 1)
+    keys = keys.ravel()
+    ptr = np.zeros(ncol * (nq + 1) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=ncol * (nq + 1)), out=ptr[1:])
+    order = np.argsort(keys)
+    del keys
+    order %= nq
+    return ptr, order.astype(np.int32)
 
 
 def _solve_lifts(game: Game, aut: SafetyAutomaton, roots: Sequence[int], table=None):
@@ -632,12 +726,6 @@ def _pre_table(table: np.ndarray, nq: int) -> np.ndarray:
     pre = np.searchsorted(laid, (np.arange(-1, nq) + stride).ravel(), side="right") - 1
     pre -= np.repeat(np.arange(ncol, dtype=np.int64) * nq, nq + 1)
     return pre.astype(np.int32)
-
-
-def _slices(starts: np.ndarray, lens: np.ndarray, total: int) -> np.ndarray:
-    """The index ranges ``[starts[i], starts[i] + lens[i])``, concatenated;
-    ``total`` is the sum of ``lens``."""
-    return np.repeat(starts - np.cumsum(lens) + lens, lens) + np.arange(total)
 
 
 # ---------------------------------------------------------------------------

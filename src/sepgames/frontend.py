@@ -27,6 +27,7 @@ from typing import Optional, Sequence
 from .automaton import (
     SafetyAutomaton,
     _solve_flat,
+    _solve_roots,
     automaton_dot,
     separating_winning_region,
     solve_via_separating,
@@ -339,7 +340,12 @@ def _cmd_solve(args) -> int:
         if not (args.region or args.stats):
             print("WIN" if solve_via_separating(game, v0, aut) else "LOSE")
             return 0
-        region, stats = separating_winning_region(game, aut, with_stats=True)
+        if args.region:
+            region, stats = separating_winning_region(game, aut, with_stats=True)
+        else:
+            # the stats of the solve from v0 alone, not of all roots
+            flags, stats = _solve_roots(game, aut, [v0])
+            region = {v0} if flags[0] else set()
     print("WIN" if v0 in region else "LOSE")
     if args.region:
         print("region: " + " ".join(str(v) for v in sorted(region)))

@@ -1,10 +1,11 @@
-"""Linear-time safety game solving via Adam's attractor.
+"""Safety game solving via Adam's attractor.
 
 The attractor is computed level-synchronously on numpy CSR predecessor
 arrays: each round absorbs, in one vectorized step, every Adam vertex with an
 edge into the attracted set and every Eve vertex whose remaining out-degree
-counter drops to zero.  Each edge is inspected exactly once overall, so the
-whole computation is O(n + m).
+counter drops to zero.  Each edge is inspected exactly once overall; the
+predecessor CSR and each vectorized level are grouped by a sort, so the
+whole computation is O(n + m log m).
 """
 
 from __future__ import annotations
@@ -40,6 +41,29 @@ class WinningRegion:
 _SMALL_FRONTIER = 64
 
 
+def _absorb(counter: np.ndarray, preds: np.ndarray) -> np.ndarray:
+    """One vectorized level of an attractor whose ``counter`` is the number
+    of edges a vertex still needs into the set (<= 0: in the set).
+
+    ``preds`` lists the sources of the level's edges into the set, with
+    repeats.  Each distinct one outside the set is charged once with its
+    number of occurrences; returns those whose counter drops to <= 0.  The
+    level is sorted to group the repeats, which also walks ``counter`` in
+    order.
+    """
+    preds = preds[counter[preds] > 0]
+    if preds.size == 0:
+        return preds
+    preds.sort()
+    first = np.empty(preds.size, dtype=bool)
+    first[0] = True
+    np.not_equal(preds[1:], preds[:-1], out=first[1:])
+    at = np.flatnonzero(first)
+    uniq = preds[at]
+    counter[uniq] -= np.append(at[1:], preds.size) - at
+    return uniq[counter[uniq] <= 0]
+
+
 def _attract(vertex_count: int, srcs, dsts, eve_mask, seed) -> np.ndarray:
     """Least superset of ``seed`` closed under Adam steps and forced Eve steps.
 
@@ -48,24 +72,23 @@ def _attract(vertex_count: int, srcs, dsts, eve_mask, seed) -> np.ndarray:
 
     Every absorbed vertex has its predecessor list scanned exactly once:
     small frontiers are drained with a plain worklist, large ones with one
-    vectorized sweep per level (same fixpoint either way).
+    vectorized sweep per level (``_absorb``; same fixpoint either way).
 
     Edge arrays keep the caller's integer dtype.  An Adam vertex is treated
     as an Eve vertex that needs a single edge into the set: its counter
-    starts at 1.  No per-level step touches all ``vertex_count`` entries: a
-    level dedupes its predecessors through ``stamp``, which records, per
-    vertex, the position of one of its occurrences in the level.
+    starts at 1.  A vertex without edges joins only as a seed, and the
+    seed's counters start at 0.
     """
-    x = np.zeros(vertex_count, dtype=bool)
     seed = np.asarray(seed)
     if seed.size == 0:
-        return x
-    x[seed] = True
+        return np.zeros(vertex_count, dtype=bool)
 
     srcs = np.asarray(srcs)
     dsts = np.asarray(dsts)
     counter = np.bincount(srcs, minlength=vertex_count)
     counter[~np.asarray(eve_mask, dtype=bool)] = 1
+    counter[counter == 0] = 1
+    counter[seed] = 0
 
     # CSR over predecessors: preds of v are pred_src[ptr[v]:ptr[v+1]].  One
     # value sort of (dst << 32 | src) keys groups them; the order inside a
@@ -79,48 +102,32 @@ def _attract(vertex_count: int, srcs, dsts, eve_mask, seed) -> np.ndarray:
     del keys
     ptr = np.zeros(vertex_count + 1, dtype=np.int64)
     np.cumsum(np.bincount(dsts, minlength=vertex_count), out=ptr[1:])
-    stamp = np.empty(vertex_count, dtype=np.int64)
 
-    pending = np.flatnonzero(x)
+    pending = np.flatnonzero(counter == 0)
     while len(pending):
         if len(pending) <= _SMALL_FRONTIER:
             if not isinstance(pending, list):
                 pending = pending.tolist()
             v = pending.pop()
             for u in pred_src[ptr[v] : ptr[v + 1]].tolist():
-                if x[u]:
+                if counter[u] <= 0:
                     continue
                 counter[u] -= 1
                 if counter[u] > 0:
                     continue
-                x[u] = True
                 pending.append(u)
             continue
         frontier = np.asarray(pending)
-        pending = []
         starts = ptr[frontier]
         lens = ptr[frontier + 1] - starts
-        ends = np.cumsum(lens)
-        total = int(ends[-1])
-        if total == 0:
-            continue
-        # gather all predecessor slices in one shot
-        idx = np.repeat(starts - ends + lens, lens) + np.arange(total)
-        preds = pred_src[idx]
-        preds = preds[~x[preds]]
-        if preds.size == 0:
-            continue
-        # one representative per distinct predecessor, charged with the
-        # number of the level's edges that lead from it into the set
-        pos = np.arange(preds.size)
-        stamp[preds] = pos
-        rep = stamp[preds]
-        first = rep == pos
-        uniq = preds[first]
-        counter[uniq] -= np.bincount(rep, minlength=preds.size)[first]
-        pending = uniq[counter[uniq] <= 0]
-        x[pending] = True
-    return x
+        pending = _absorb(counter, pred_src[_slices(starts, lens, int(lens.sum()))])
+    return counter <= 0
+
+
+def _slices(starts: np.ndarray, lens: np.ndarray, total: int) -> np.ndarray:
+    """The index ranges ``[starts[i], starts[i] + lens[i])``, concatenated;
+    ``total`` is the sum of ``lens``."""
+    return np.repeat(starts - np.cumsum(lens) + lens, lens) + np.arange(total)
 
 
 def _game_arrays(game: Game):

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +29,7 @@ from sepgames import (
     solve_safety,
     solve_via_separating,
 )
-from sepgames.automaton import _solve_flat, _solve_lifts
+from sepgames.automaton import _explore, _preimages, _solve_flat, _solve_lifts, _transition_table
 from sepgames.frontend import build_separator, generate_game
 
 
@@ -278,24 +279,100 @@ def test_solve_rejects_alphabet_mismatch():
         solve_via_separating(game, 0, mp_separator(1, 2))
 
 
-def test_flat_and_object_paths_agree():
-    rng = random.Random(13)
-    for kind in ("parity", "mp", "parity-mp", "disj-mp"):
-        from conftest import random_objective
+def _cone_vertices(game, roots):
+    """The game vertices reachable from ``roots``, in vertex order."""
+    seen = set(roots)
+    stack = list(seen)
+    while stack:
+        for _, w in game.graph.successors[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return sorted(seen)
 
+
+def _full_product(game, aut, cone):
+    """The chained safety game on every (vertex of ``cone``, state) pair,
+    reached or not, built with the scalar ``delta``: ids ``i * state_count
+    + q`` for the i-th vertex of ``cone``, then the Eve-owned sink."""
+    nq = aut.state_count
+    index = {v: i for i, v in enumerate(cone)}
+    sink = len(cone) * nq
+    edges = set()
+    for v in cone:
+        for q in range(nq):
+            for c, w in game.graph.successors[v]:
+                t = aut.delta(q, c)
+                edges.add((index[v] * nq + q, None, sink if t is None else index[w] * nq + t))
+    owner = tuple(game.owner[v] for v in cone for _ in range(nq)) + (EVE,)
+    return Game(Graph(sink + 1, tuple(edges)), owner, Safety())
+
+
+def _kernelless_chain(rng):
+    table = {(q, c): rng.randrange(2) for q in range(2) for c in (-1, 0, 1) if rng.random() < 0.7}
+    return sequential_fold([mp_separator(3, 1), _table_automaton(2, 0, table)])
+
+
+def test_flat_and_object_paths_agree():
+    # the flat solve's implicit predecessors against the safety solver on
+    # the product decoded by chained_game, from every root: all four
+    # families and a chain without a row kernel, on games with dead ends of
+    # both owners; its attracted count against the full product's
+    from conftest import random_objective
+
+    rng = random.Random(13)
+    dead_ends = set()
+    for kind in ("parity", "mp", "parity-mp", "disj-mp", "chain"):
         for _ in range(40):
             n = rng.randint(1, 6)
-            obj = random_objective(rng, kind)
+            if kind == "chain":
+                obj, aut = MeanPayoff(1), _kernelless_chain(rng)
+            else:
+                obj = random_objective(rng, kind)
+                aut = build_separator(obj, n)
             game = generate_game(n, 0, 3, obj, seed=rng.randrange(10**9))
-            aut = build_separator(obj, n)
+            nq = aut.state_count
             flags, stats = _solve_flat(game, aut, list(range(n)))
-            assert stats["product_states"] <= n * aut.state_count + 1
-            # the product decoded by chained_game, solved by the safety solver
+            assert stats["product_states"] == n * nq + 1
             for v in range(n):
                 chain = chained_game(game, aut, v)
                 won = chain.product_vertex(v, aut.initial) in solve_safety(chain.game).eve_wins
-                assert bool(flags[v]) == won
+                single, single_stats = _solve_flat(game, aut, [v])
+                assert bool(flags[v]) == bool(single[0]) == won
+                cone = _cone_vertices(game, [v])
+                assert single_stats["product_states"] == len(cone) * nq + 1
+                if len(cone) * nq <= 400:
+                    full = _full_product(game, aut, cone)
+                    lost = full.vertex_count - len(refs.naive_safety_region(full))
+                    assert single_stats["attracted"] == lost
             assert frozenset(v for v in range(n) if flags[v]) == separating_winning_region(game, aut)
+            dead_ends |= {game.owner[v] for v in range(n) if not game.graph.successors[v]}
+    assert dead_ends == {EVE, ADAM}
+
+
+def test_preimages_list_each_state_and_color_once():
+    # every (q, i) under table[q, i], or under nq where undefined
+    from sepgames import ParityOrMeanPayoff
+    from sepgames.automaton import _game_colors
+
+    rng = random.Random(742)
+    tables = []
+    for _ in range(60):
+        nq, ncol = rng.randint(1, 9), rng.randint(0, 5)
+        cells = [rng.randrange(-1, nq) for _ in range(nq * ncol)]
+        tables.append(np.array(cells, dtype=np.int32).reshape(nq, ncol))
+    game = generate_game(6, 1, 3, ParityOrMeanPayoff(3, 2), seed=743)
+    aut = build_separator(game.objective, 6)
+    tables.append(_transition_table(aut, _game_colors(game.graph)))
+    for table in tables:
+        nq, ncol = table.shape
+        ptr, states = _preimages(table)
+        assert ptr.size == ncol * (nq + 1) + 1 and states.dtype == np.int32
+        listed = sorted((int(q), g) for g in range(ncol * (nq + 1)) for q in states[ptr[g] : ptr[g + 1]])
+        expected = sorted(
+            (q, i * (nq + 1) + (t if t >= 0 else nq)) for q in range(nq) for i, t in enumerate(table[q].tolist())
+        )
+        assert listed == expected
 
 
 def _flat_region(game, aut):
@@ -490,6 +567,8 @@ def _reached_pairs(game, aut, roots):
 
 
 def test_flat_product_states_count_reached_pairs():
+    # the explorer (chained_game, separator_stats) reaches exactly the pairs
+    # a plain BFS does; the flat solve spans every code of the roots' cone
     from sepgames import MeanPayoffDisjunction, Parity
 
     rng = random.Random(733)
@@ -497,8 +576,11 @@ def test_flat_product_states_count_reached_pairs():
         game = generate_game(n, 1, 3, objective, seed=rng.randrange(10**9))
         aut = build_separator(objective, n)
         for roots in ([0], list(range(n))):
+            codes, _, _, _ = _explore(game.graph, aut, roots)
+            assert codes.size == _reached_pairs(game, aut, roots)
             _, stats = _solve_flat(game, aut, roots)
-            assert stats["product_states"] == _reached_pairs(game, aut, roots)
+            assert stats["product_states"] == len(_cone_vertices(game, roots)) * aut.state_count + 1
+            assert 0 < stats["attracted"] <= stats["product_states"]
 
 
 def test_parity_reduction_matches_recursive_solver_at_medium_scale():

@@ -22,6 +22,7 @@ from sepgames import (
     ParityOrMeanPayoff,
     ParseError,
     Safety,
+    build_separator,
     cli,
     generate_game,
     parse_game,
@@ -212,6 +213,28 @@ def test_cli_solve_region_and_stats(tmp_path):
     assert lines[1].startswith("region:")
     assert "path: product" in lines
     assert any(line.startswith("product_states:") for line in lines)
+    assert any(line.startswith("attracted:") for line in lines)
+    assert not any(line.startswith("product_edges:") for line in lines)
+
+
+def test_cli_stats_describe_the_solve_asked_for(tmp_path):
+    # --stats alone reports the solve from --from, with --region the solve
+    # from every vertex
+    from sepgames.automaton import _solve_roots
+
+    cases = ((Parity(6), 200, "vertex_lifts"), (ParityOrMeanPayoff(3, 2), 6, "attracted"))
+    for objective, n, measure in cases:
+        game = generate_game(n, 1, 2, objective, seed=3)
+        f = tmp_path / "g.game"
+        f.write_text(print_game(game))
+        aut = build_separator(objective, n)
+        single = _solve_roots(game, aut, [0])[1][measure]
+        every = _solve_roots(game, aut, list(range(n)))[1][measure]
+        assert single != every
+        code, out, _ = _run_cli(["solve", "--input", str(f), "--from", "0", "--stats"])
+        assert code == 0 and f"{measure}: {single}" in out.splitlines()
+        code, out, _ = _run_cli(["solve", "--input", str(f), "--from", "0", "--region", "--stats"])
+        assert code == 0 and f"{measure}: {every}" in out.splitlines()
 
 
 def test_cli_stats_name_the_lifts_path(tmp_path):
@@ -423,7 +446,7 @@ def test_benchmark_tracer_installs_and_undoes(tmp_path):
     originals = [getattr(owner, attr) for owner, attr in patched]
     f = tmp_path / "min.game"
     f.write_text(MINIMAL)
-    # parity-mp takes the product route, whose attractor the tracer counts
+    # parity-mp takes the product route
     product = tmp_path / "product.game"
     product.write_text(print_game(generate_game(6, 1, 3, ParityOrMeanPayoff(3, 2), seed=4)))
     tracer = tracing.Tracer()
@@ -437,10 +460,11 @@ def test_benchmark_tracer_installs_and_undoes(tmp_path):
     assert code == 0 and out.splitlines()[0] == "WIN"
     assert product_code == 0 and "path: product" in product_out.splitlines()
     names = {rec[0] for rec in tracer.spans}
-    assert {"frontend.parse_game", "frontend.build_separator", "safety.attract"} <= names
-    book = [rec[tracing.COUNTS] for rec in tracer.spans if rec[0] == "trace.bookkeeping"]
-    assert book and all(counts["automaton.product_states"] > 0 for counts in book)
+    assert {"frontend.parse_game", "frontend.build_separator", "automaton.solve"} <= names
     assert all(getattr(o, a) is orig for (o, a), orig in zip(patched, originals))
+    # the product route calls no wrapped attractor; traced, it prints what
+    # it prints untraced
+    assert (product_code, product_out) == _run_cli(["solve", "--input", str(product), "--from", "0", "--stats"])[:2]
 
 
 def test_cli_usage_error_exit_code():
