@@ -25,10 +25,12 @@ by the table alone:
   each code holds one int32 counter; memory is O(cone vertices x states +
   states x colors).
 
-Both compute the winning region of the same chained safety game.  The
-breadth-first explorer ``_explore`` gives the product states reached from
-the roots compact ids; ``chained_game`` decodes its product into objects,
-with ids in its discovery order, for inspection and DOT export.
+Both compute the winning region of the same chained safety game.  The one
+product exploration is ``_walk``, a lazy depth-first walk from the roots
+with one scalar ``delta`` call per product edge and no table: it answers
+``accepts_all_paths`` up to the first undefined transition, builds
+``chained_game`` as objects for inspection and DOT export, and sizes the
+product for ``separators.separator_stats``.
 """
 
 from __future__ import annotations
@@ -154,29 +156,42 @@ def run(aut: SafetyAutomaton, word: Iterable[Color]) -> Optional[int]:
 def accepts_all_paths(aut: SafetyAutomaton, graph: Graph) -> bool:
     """True iff every finite (hence every infinite) path of ``graph`` has a
     defined run, checked on the synchronized product started from every
-    ``(vertex, initial)`` pair."""
+    ``(vertex, initial)`` pair.  Stops at the first undefined transition."""
     for e in graph.edges:
         err = aut.alphabet.color_error(e[1])
         if err:
             raise AlphabetMismatchError(f"edge {e!r}: {err}")
-    nq = aut.state_count
-    delta = aut.delta
-    succ = graph.successors
-    q0 = aut.initial
-    seen = {v * nq + q0 for v in range(graph.vertex_count)}
-    stack = list(seen)
+    for _, _, t in _walk(graph, aut, range(graph.vertex_count)):
+        if t is None:
+            return False
+    return True
+
+
+def _walk(graph: Graph, aut: SafetyAutomaton, roots: Iterable[int]):
+    """Depth-first walk of the product of ``graph`` with ``aut`` from
+    ``(v, initial)`` for each of the distinct roots v, one ``delta`` call
+    per product edge.
+
+    Product states are coded ``v * state_count + q``.  Yields each product
+    edge as (source code, k, target code), where the game edge that induces
+    it is the k-th of ``graph.successors[v]`` and the target is ``None``
+    where ``delta`` is undefined.  The walk goes no further than its caller
+    reads.
+    """
+    nq, delta, succ = aut.state_count, aut.delta, graph.successors
+    stack = [v * nq + aut.initial for v in roots]
+    seen = set(stack)
     while stack:
         code = stack.pop()
         v, q = divmod(code, nq)
-        for c, w in succ[v]:
+        for k, (c, w) in enumerate(succ[v]):
             t = delta(q, c)
-            if t is None:
-                return False
-            tcode = w * nq + t
-            if tcode not in seen:
-                seen.add(tcode)
-                stack.append(tcode)
-    return True
+            if t is not None:
+                t += w * nq
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+            yield code, k, t
 
 
 # ---------------------------------------------------------------------------
@@ -303,20 +318,20 @@ def sequential_fold(auts: Sequence[SafetyAutomaton]) -> SafetyAutomaton:
 
 
 # ---------------------------------------------------------------------------
-# Chained game (the explored product as objects, for inspection)
+# Chained game (the walked product as objects, for inspection)
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ChainedGame:
-    """Safety game synchronizing a game with an automaton, decoded from the
-    product explorer (``_explore``).
+    """Safety game synchronizing a game with an automaton, collected from
+    the product walk (``_walk``).
 
     Only product states reachable from the root are materialized, with ids
-    in the explorer's discovery order.  ``bottom`` is the Eve-owned losing
-    sink reached on undefined transitions, present only if some undefined
-    transition is reachable.  ``edge_origin`` maps each product edge to the
-    index of the game edge that induced it.
+    in the order the walk first meets them, the root's 0.  ``bottom`` is the
+    Eve-owned losing sink reached on undefined transitions, present only if
+    some undefined transition is reachable.  ``edge_origin`` maps each
+    product edge to the index of the game edge that induced it.
     """
 
     game: Game
@@ -332,28 +347,25 @@ class ChainedGame:
 
 
 def chained_game(game: Game, aut: SafetyAutomaton, v0: int) -> ChainedGame:
-    """Product safety game reachable from ``(v0, initial)``, as ``_explore``
-    finds it.  It fills the automaton's transition table on the game's
-    colors and allocates the dense code -> id map, 4 bytes per (vertex,
-    state) code.  Parallel product edges (game
+    """Product safety game reachable from ``(v0, initial)``, built with one
+    scalar ``delta`` call per product edge.  Parallel product edges (game
     edges of one vertex that lead to the same product state, the sink
     included) are merged into the first one."""
     if not 0 <= v0 < game.vertex_count:
         raise InvalidGameError(f"start vertex {v0} out of range")
     _check_alphabet(game, aut)
     g = game.graph
-    n, nq = g.vertex_count, aut.state_count
-    codes, srcs, dsts, roots = _explore(g, aut, [v0])
-    # the k-th edge of product state (v, q) comes from the k-th edge of v:
-    # the explorer sorts the game's edges stably by source
-    gptr = np.concatenate(([0], np.cumsum(np.bincount(g._src_array, minlength=n))))
-    k = np.arange(srcs.size) - np.searchsorted(srcs, srcs)
-    origins = np.argsort(g._src_array, kind="stable")[gptr[codes[srcs] // nq] + k]
-    pairs = tuple(divmod(c, nq) if c < n * nq else None for c in codes.tolist())
-    bottom = pairs.index(None) if None in pairs else None
+    nq = aut.state_count
+    # each vertex's game edge indices, in ``successors`` order
+    out: list = [[] for _ in range(g.vertex_count)]
+    for i, (u, _, _) in enumerate(g.edges):
+        out[u].append(i)
+    # code -> id; the sink is the code None
+    ids = {v0 * nq + aut.initial: 0}
     edges: dict = {}
-    for u, w, o in zip(srcs.tolist(), dsts.tolist(), origins.tolist()):
-        edges.setdefault((u, None, w), o)
+    for code, k, t in _walk(g, aut, [v0]):
+        edges.setdefault((ids[code], None, ids.setdefault(t, len(ids))), out[code // nq][k])
+    pairs = tuple(None if c is None else divmod(c, nq) for c in ids)
     product = Game(
         graph=Graph(len(pairs), tuple(edges)),
         owner=tuple(EVE if p is None else game.owner[p[0]] for p in pairs),
@@ -362,8 +374,8 @@ def chained_game(game: Game, aut: SafetyAutomaton, v0: int) -> ChainedGame:
     return ChainedGame(
         game=product,
         state_ids={p: i for i, p in enumerate(pairs) if p is not None},
-        bottom=bottom,
-        roots=tuple(roots.tolist()),
+        bottom=ids.get(None),
+        roots=(0,),
         product_pairs=pairs,
         edge_origin=tuple(edges.values()),
         source=game,
@@ -409,86 +421,6 @@ def _transition_table(aut: SafetyAutomaton, colors: Sequence[Color]) -> np.ndarr
         for lo in range(0, nq, _FILL_CHUNK):
             table[lo : lo + _FILL_CHUNK] = rows(np.arange(lo, min(lo + _FILL_CHUNK, nq)))
     return table
-
-
-def _explore(graph: Graph, aut: SafetyAutomaton, roots: Sequence[int], table=None):
-    """Breadth-first exploration of the product of ``graph`` with ``aut``
-    from ``(v, initial)`` for each root v, without python objects.
-
-    Product states are coded ``v * state_count + q``; the losing sink, where
-    an undefined transition leads, gets the one-past-the-end code and no
-    edges.  ``table`` holds the automaton's transitions on the graph's
-    colors (``_transition_table``); it is filled here, through the row
-    kernel when there is one, when not given.  Each reached code gets an
-    int32 id in discovery order through one dense code -> id map, and every
-    later array is indexed by id, so it grows with the reached product
-    rather than with the code range.  The edges of product state (v, q)
-    follow the edges of v in graph order, one each, parallel ones included.
-
-    Returns the reached codes in id order (int64), the edges as int32 arrays
-    of source and target ids sorted by source, and the roots' ids.
-    """
-    n, nq = graph.vertex_count, aut.state_count
-    bot = n * nq
-
-    colors, gsrc, gdst, gcid = _sorted_edges(graph)
-    ncol = len(colors)
-    # vertex n stands for the sink and has no edges
-    gptr = np.zeros(n + 2, dtype=np.int64)
-    np.cumsum(np.bincount(gsrc, minlength=n), out=gptr[1 : n + 1])
-    gptr[n + 1] = gptr[n]
-
-    if table is None:
-        table = _transition_table(aut, colors)
-    table = table.reshape(-1)
-
-    # code -> id; -1 marks an unreached code.  While a level assigns ids, the
-    # codes it discovers hold -2 - (position in the level) as a stamp, so
-    # the occurrence whose stamp survives is the one that keeps its id.
-    ids = np.full(bot + 1, -1, dtype=np.int32)
-    codes: list = []
-    count = 0
-
-    def number(fresh: np.ndarray) -> None:
-        nonlocal count
-        pos = np.arange(fresh.size, dtype=np.int32)
-        ids[fresh] = -2 - pos
-        fresh = fresh[ids[fresh] == -2 - pos]
-        ids[fresh] = np.arange(count, count + fresh.size, dtype=np.int32)
-        codes.append(fresh)
-        count += fresh.size
-
-    root_codes = np.array([v * nq + aut.initial for v in roots], dtype=np.int64)
-    number(root_codes)
-    outdeg_chunks: list = []
-    dst_chunks: list = []
-    for level in codes:
-        # ``codes`` grows while this loop runs: one chunk per BFS level
-        fv = level // nq
-        fq = level - fv * nq
-        starts = gptr[fv]
-        lens = gptr[fv + 1] - starts
-        outdeg_chunks.append(lens)
-        total = int(lens.sum())
-        if total == 0:
-            continue
-        idx = _slices(starts, lens, total)
-        tq = table[np.repeat(fq * ncol, lens) + gcid[idx]]
-        tcode = np.where(tq >= 0, gdst[idx] * nq + tq, bot)
-        tid = ids[tcode]
-        unseen = tid < 0
-        if unseen.any():
-            fresh = tcode[unseen]
-            number(fresh)
-            tid[unseen] = ids[fresh]
-        dst_chunks.append(tid)
-
-    root_ids = ids[root_codes]
-    del ids
-    srcs = np.repeat(np.arange(count, dtype=np.int32), np.concatenate(outdeg_chunks))
-    del outdeg_chunks
-    dsts = np.concatenate(dst_chunks) if dst_chunks else np.zeros(0, dtype=np.int32)
-    return np.concatenate(codes), srcs, dsts, root_ids
 
 
 def _solve_flat(game: Game, aut: SafetyAutomaton, roots: Sequence[int], table=None):

@@ -47,11 +47,7 @@ __all__ = [
 ]
 
 
-def parity_mp_separator(
-    parity_aut: SafetyAutomaton,
-    mp_aut: SafetyAutomaton,
-    initial_priority: int = 0,
-) -> SafetyAutomaton:
+def parity_mp_separator(parity_aut: SafetyAutomaton, mp_aut: SafetyAutomaton) -> SafetyAutomaton:
     """Product automaton for the disjunction of parity and mean payoff.
 
     States are (accumulated priority, parity state, counter state); on letter
@@ -61,10 +57,8 @@ def parity_mp_separator(
     letter's weight is discarded by the reset).  Undefined only when the
     parity automaton rejects during such a reset.
 
-    ``initial_priority`` is 0 so that the first reset feeds exactly the
-    maximum priority seen so far, matching how runs decompose; the
-    alternative convention of starting at the parity automaton's
-    ``max_priority`` can be selected for comparison.
+    The accumulator starts at 0 so that the first reset feeds exactly the
+    maximum priority seen so far, matching how runs decompose.
 
     The row kernel is composed from the two automata's row kernels the same
     way, and exists only if both have one.
@@ -74,15 +68,10 @@ def parity_mp_separator(
     if not isinstance(mp_aut.alphabet, MeanPayoff):
         raise AlphabetMismatchError(f"expected a weight alphabet, got {mp_aut.alphabet!r}")
     max_priority = parity_aut.alphabet.max_priority
-    if not 0 <= initial_priority <= max_priority:
-        raise InvalidGameError("initial_priority out of range")
     weight_bound = mp_aut.alphabet.weight_bound
     np_, nmp = parity_aut.state_count, mp_aut.state_count
     dp, dmp = parity_aut.delta, mp_aut.delta
     mp_init = mp_aut.initial
-
-    def encode(p: int, qp: int, qmp: int) -> int:
-        return (p * np_ + qp) * nmp + qmp
 
     def delta(s: int, c) -> Optional[int]:
         p2, w = c
@@ -121,7 +110,7 @@ def parity_mp_separator(
 
     return SafetyAutomaton(
         state_count=(max_priority + 1) * np_ * nmp,
-        initial=encode(initial_priority, parity_aut.initial, mp_init),
+        initial=parity_aut.initial * nmp + mp_init,  # accumulator 0
         alphabet=ParityOrMeanPayoff(max_priority, weight_bound),
         delta=delta,
         state_label=state_label,

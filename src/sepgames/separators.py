@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .automaton import SafetyAutomaton, _explore
+from .automaton import SafetyAutomaton, _walk
 from .core import InvalidGameError, MeanPayoff, Parity
 
 __all__ = [
@@ -305,7 +305,12 @@ def separator_stats(aut: SafetyAutomaton, bound: Optional[int] = None, game=None
     if bound is not None:
         stats["bound"] = bound
     if game is not None:
-        codes, srcs, _, _ = _explore(game.graph, aut, range(game.vertex_count))
-        stats["product_states"] = codes.size
-        stats["product_edges"] = srcs.size
+        # the roots, then every target met; the sink is the code None
+        codes = {v * aut.state_count + aut.initial for v in range(game.vertex_count)}
+        edges = 0
+        for _, _, t in _walk(game.graph, aut, range(game.vertex_count)):
+            codes.add(t)
+            edges += 1
+        stats["product_states"] = len(codes)
+        stats["product_edges"] = edges
     return stats

@@ -24,12 +24,13 @@ from sepgames import (
     mp_separator,
     run,
     separating_winning_region,
+    separator_stats,
     sequential_fold,
     sequential_product,
     solve_safety,
     solve_via_separating,
 )
-from sepgames.automaton import _explore, _preimages, _solve_flat, _solve_lifts, _transition_table
+from sepgames.automaton import _preimages, _solve_flat, _solve_lifts, _transition_table
 from sepgames.frontend import build_separator, generate_game
 
 
@@ -98,6 +99,29 @@ def test_zero_loop_accepted_by_counter():
 
 def test_negative_loop_rejected_by_counter():
     assert not accepts_all_paths(mp_separator(2, 1), Graph(1, [(0, -1, 0)]))
+
+
+def test_check_stops_at_the_first_undefined_transition():
+    # every root's first edge is undefined; 10 x 8 product states, each with
+    # 11 edges, are reachable, and collecting them before answering would
+    # take one delta call per product edge
+    n, k = 10, 8
+    cycle = _table_automaton(k, 0, {(q, 0): (q + 1) % k for q in range(k)})
+    calls = 0
+
+    def counting(q, c):
+        nonlocal calls
+        calls += 1
+        return cycle.delta(q, c)
+
+    aut = dataclasses.replace(cycle, delta=counting)
+    edges = [(v, -1, v) for v in range(n)] + [(v, 0, w) for v in range(n) for w in range(n)]
+    graph = Graph(n, edges)
+    assert not accepts_all_paths(aut, graph)
+    assert 0 < calls <= n + 1
+    # the product the check did not walk
+    game = Game(graph, (EVE,) * n, MeanPayoff(1))
+    assert separator_stats(aut, game=game)["product_edges"] == n * k * (n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +256,15 @@ def _chained_inputs():
 
 
 def test_chained_size_bound_and_edge_origins():
-    # the explorer checked against the scalar ``delta``
+    # every product edge checked against a fresh ``delta`` call on the
+    # game edge it records
     rng = random.Random(32)
-    bottoms = 0
+    bottoms = edgeless_roots = 0
     for game, aut in _chained_inputs():
         n = game.vertex_count
         v0 = rng.randrange(n)
         chain = chained_game(game, aut, v0)
-        assert chain.roots[0] == chain.product_vertex(v0, aut.initial)
+        assert chain.roots == (0,) == (chain.product_vertex(v0, aut.initial),)
         assert chain.game.vertex_count <= n * aut.state_count + 1
         # ownership is inherited from the game component
         for pid, pair in enumerate(chain.product_pairs):
@@ -256,7 +281,8 @@ def test_chained_size_bound_and_edge_origins():
             else:
                 assert chain.product_pairs[dst] == (v, t)
         bottoms += chain.bottom is not None
-    assert bottoms > 0
+        edgeless_roots += game.graph.is_sink(v0)
+    assert bottoms > 0 and edgeless_roots > 0
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +576,8 @@ def test_parity_1000_vertices_8_priorities_matches_recursive_solver():
 
 
 def _reached_pairs(game, aut, roots):
-    """Plain BFS count of the reached (vertex, state) pairs, plus the sink."""
+    """Plain BFS: the reached (vertex, state) pairs, and whether an
+    undefined transition is reached."""
     seen = {(v, aut.initial) for v in roots}
     queue = list(seen)
     sink = False
@@ -563,21 +590,27 @@ def _reached_pairs(game, aut, roots):
             elif (w, t) not in seen:
                 seen.add((w, t))
                 queue.append((w, t))
-    return len(seen) + sink
+    return seen, sink
 
 
 def test_flat_product_states_count_reached_pairs():
-    # the explorer (chained_game, separator_stats) reaches exactly the pairs
-    # a plain BFS does; the flat solve spans every code of the roots' cone
+    # the walk reaches exactly the pairs a plain BFS does: from all roots
+    # (separator_stats) and from one (chained_game); each reached pair but
+    # the sink has one product edge per game edge; the flat solve spans
+    # every code of the roots' cone
     from sepgames import MeanPayoffDisjunction, Parity
 
     rng = random.Random(733)
     for objective, n in ((Parity(6), 60), (MeanPayoffDisjunction(2, 2), 80)):
         game = generate_game(n, 1, 3, objective, seed=rng.randrange(10**9))
         aut = build_separator(objective, n)
+        reached, sink = _reached_pairs(game, aut, range(n))
+        stats = separator_stats(aut, game=game)
+        assert stats["product_states"] == len(reached) + sink
+        assert stats["product_edges"] == sum(len(game.graph.successors[v]) for v, _ in reached)
+        reached, sink = _reached_pairs(game, aut, [0])
+        assert chained_game(game, aut, 0).game.vertex_count == len(reached) + sink
         for roots in ([0], list(range(n))):
-            codes, _, _, _ = _explore(game.graph, aut, roots)
-            assert codes.size == _reached_pairs(game, aut, roots)
             _, stats = _solve_flat(game, aut, roots)
             assert stats["product_states"] == len(_cone_vertices(game, roots)) * aut.state_count + 1
             assert 0 < stats["attracted"] <= stats["product_states"]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -32,10 +33,16 @@ from sepgames import (
 )
 
 
-def _pvmp(n, d, big_n, initial_priority=0):
-    return parity_mp_separator(
-        parity_separator(n, d), mp_separator(n, big_n), initial_priority=initial_priority
-    )
+def _pvmp(n, d, big_n):
+    return parity_mp_separator(parity_separator(n, d), mp_separator(n, big_n))
+
+
+def _top_initialized(n, d, big_n):
+    """The parity-mp separator with its priority accumulator started at d
+    instead of 0."""
+    parity, mp = parity_separator(n, d), mp_separator(n, big_n)
+    aut = parity_mp_separator(parity, mp)
+    return dataclasses.replace(aut, initial=aut.initial + d * parity.state_count * mp.state_count)
 
 
 # ---------------------------------------------------------------------------
@@ -141,13 +148,13 @@ def test_top_initialized_accumulator_is_sound_but_not_separating():
     # reset feeds an inflated priority to the parity automaton
     g = Graph(1, [(0, (0, -1), 0)])
     assert graph_satisfies_parity_or_mp(g)  # the lone cycle has even max priority
-    assert accepts_all_paths(_pvmp(1, 1, 1, initial_priority=0), g)
-    assert not accepts_all_paths(_pvmp(1, 1, 1, initial_priority=1), g)
+    assert accepts_all_paths(_pvmp(1, 1, 1), g)
+    assert not accepts_all_paths(_top_initialized(1, 1, 1), g)
     # soundness survives the toggle: only the first reset sees the inflated
     # value, which cannot turn a violating run into an accepted one
     for n in (1, 2, 3):
         for d in (1, 2, 3):
-            top = reachable_graph(_pvmp(n, d, 1, initial_priority=d))
+            top = reachable_graph(_top_initialized(n, d, 1))
             assert graph_satisfies_parity_or_mp(top), (n, d)
 
 

@@ -455,6 +455,9 @@ def test_benchmark_tracer_installs_and_undoes(tmp_path):
         assert all(getattr(o, a) is not orig for (o, a), orig in zip(patched, originals))
         code, out, _ = _run_cli(["solve", "--input", str(f), "--from", "0", "--region"])
         product_code, product_out, _ = _run_cli(["solve", "--input", str(product), "--from", "0", "--stats"])
+        # through the module attributes, as the benchmark's check calls them
+        separator = frontend.build_separator(MeanPayoff(1), 2)
+        checked = automaton.accepts_all_paths(separator, Graph(2, [(0, 1, 1), (1, -1, 0)]))
     finally:
         undo()
     assert code == 0 and out.splitlines()[0] == "WIN"
@@ -462,6 +465,10 @@ def test_benchmark_tracer_installs_and_undoes(tmp_path):
     names = {rec[0] for rec in tracer.spans}
     assert {"frontend.parse_game", "frontend.build_separator", "automaton.solve"} <= names
     assert all(getattr(o, a) is orig for (o, a), orig in zip(patched, originals))
+    # the check's walk calls the traced ``delta``: a walk over a table would
+    # leave the per-layer delta metrics at 0
+    checks = [rec for rec in tracer.spans if rec[tracing.NAME] == "automaton.check"]
+    assert checked and len(checks) == 1 and checks[0][tracing.LEAF_CALLS] > 0
     # the product route calls no wrapped attractor; traced, it prints what
     # it prints untraced
     assert (product_code, product_out) == _run_cli(["solve", "--input", str(product), "--from", "0", "--stats"])[:2]

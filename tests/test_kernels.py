@@ -59,11 +59,7 @@ def test_mp_kernel_is_delta(n, N):
 @pytest.mark.parametrize("d,N", [(0, 1), (1, 2), (2, 1), (3, 0), (3, 2), (4, 1)])
 @pytest.mark.parametrize("n", [1, 3, 5])
 def test_parity_mp_kernel_is_delta(n, d, N):
-    for initial_priority in (0, d):
-        aut = parity_mp_separator(
-            parity_separator(n, d), mp_separator(n, N), initial_priority=initial_priority
-        )
-        _assert_kernel_is_delta(aut)
+    _assert_kernel_is_delta(parity_mp_separator(parity_separator(n, d), mp_separator(n, N)))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
