@@ -11,18 +11,23 @@ product below fill their states x colors transition table with it in one
 pass.
 
 Solving a game through a separating automaton fills that table once, on
-the game's colors, and takes one of two routes, chosen in ``_solve_roots``
-by the table alone:
+the game's colors, with ``state_count`` where ``delta`` is undefined: the
+losing sink, above every state in every order.  The table is renumbered
+into Eve's order of the states (the automaton's ``rank``; leaf order for
+parity, counters from the top down), and the game is restricted to the
+cone of the roots (``_cone_game``).  Both routes read that one table, and
+its inverse per color (``_preimages``); ``_solve_roots`` picks the route by
+the table alone:
 
-* lifts: when ``delta`` is monotone in Eve's order of the states (the
-  automaton's ``rank``; leaf order for parity, counters from the top down),
-  value iteration keeps one threshold rank per game vertex and never builds
-  the product; memory is O(states x colors + edges).
+* lifts: when ``delta`` is monotone in Eve's order, value iteration keeps
+  one threshold rank per game vertex and never builds the product; its
+  ``pre`` table is read off the inverse's offsets, and memory is
+  O(states x colors + edges).
 * product: otherwise, Adam's attractor on the integer-coded product of the
-  roots' cone with every state (``_solve_flat``).  It neither explores the
-  product nor stores its edges: predecessors are generated level by level
-  from the game's edges by target and the table's preimages per color, and
-  each code holds one int32 counter; memory is O(cone vertices x states +
+  roots' cone with every state and the sink (``_solve_flat``).  It neither
+  explores the product nor stores its edges: predecessors are generated
+  level by level from the game's edges by target and the inverse, and each
+  code holds one int32 counter; memory is O(cone vertices x states +
   states x colors).
 
 Both compute the winning region of the same chained safety game.  The one
@@ -399,28 +404,48 @@ def _game_colors(g: Graph) -> list:
     return list(dict.fromkeys(e[1] for e in g.edges))
 
 
-def _sorted_edges(g: Graph):
-    """The graph's distinct colors in first-seen order, and its edges sorted
-    (stably) by source as int64 arrays of sources, targets and color
-    indices."""
-    colors = _game_colors(g)
-    cid = {c: i for i, c in enumerate(colors)}
-    order = np.argsort(g._src_array, kind="stable")
-    gcid = np.fromiter((cid[g.edges[i][1]] for i in order), dtype=np.int64, count=len(order))
-    return colors, g._src_array[order], g._dst_array[order], gcid
-
-
 def _transition_table(aut: SafetyAutomaton, colors: Sequence[Color]) -> np.ndarray:
-    """The whole states x colors int32 transition table, -1 where ``delta``
-    is undefined, filled in chunks of states through the row kernel (or
-    ``delta`` when the automaton has none)."""
+    """The whole states x colors int32 transition table, filled in chunks of
+    states through the row kernel (or ``delta`` when the automaton has
+    none).  Where ``delta`` is undefined it holds ``state_count``, the
+    losing sink, which stays above every state in every order."""
     nq = aut.state_count
     table = np.empty((nq, len(colors)), dtype=np.int32)
     if colors:
         rows = (aut.row_kernel or partial(_scalar_rows, aut.delta))(colors)
         for lo in range(0, nq, _FILL_CHUNK):
-            table[lo : lo + _FILL_CHUNK] = rows(np.arange(lo, min(lo + _FILL_CHUNK, nq)))
+            block = rows(np.arange(lo, min(lo + _FILL_CHUNK, nq)))
+            table[lo : lo + _FILL_CHUNK] = np.where(block < 0, nq, block)
     return table
+
+
+def _cone_game(game: Game, aut: SafetyAutomaton, roots: Sequence[int], table=None):
+    """What both routes solve: the game restricted to the cone of ``roots``
+    (the vertices reachable from them, renumbered densely in vertex order)
+    and the ranked transition table on the game's colors (``_ranked``),
+    filled here when not given.
+
+    Returns (table, the initial state's rank, the roots' cone ids, Eve's
+    cone vertices as a bool mask, and the cone's edges sorted stably by
+    source as int64 arrays of sources, targets and color indices).
+    """
+    g = game.graph
+    colors = _game_colors(g)
+    if table is None:
+        table = _ranked(_transition_table(aut, colors), aut.rank)
+    cid = {c: i for i, c in enumerate(colors)}
+    order = np.argsort(g._src_array, kind="stable")
+    src, dst = g._src_array[order], g._dst_array[order]
+    col = np.fromiter((cid[g.edges[i][1]] for i in order), dtype=np.int64, count=len(order))
+    ptr = np.zeros(g.vertex_count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=g.vertex_count), out=ptr[1:])
+    inside = _cone(ptr, dst, roots)
+    index = np.cumsum(inside) - 1
+    keep = inside[src]
+    eve = np.fromiter((o is EVE for o in game.owner), dtype=bool, count=g.vertex_count)[inside]
+    initial = aut.initial if aut.rank is None else int(aut.rank[aut.initial])
+    root_ids = index[np.asarray(roots, dtype=np.int64)]
+    return table, initial, root_ids, eve, index[src[keep]], index[dst[keep]], col[keep]
 
 
 def _solve_flat(game: Game, aut: SafetyAutomaton, roots: Sequence[int], table=None):
@@ -428,69 +453,52 @@ def _solve_flat(game: Game, aut: SafetyAutomaton, roots: Sequence[int], table=No
     product, without exploring it or storing any of its edges.  Returns
     (per-root win flags, stats dict).
 
-    Codes are ``i * state_count + q`` for the i-th vertex of the roots' cone
-    in the game and every state q; the losing sink, where an undefined
-    transition leads, is the one-past-the-end code.  ``table`` holds the
-    automaton's transitions on the game's colors (``_transition_table``),
-    filled here when not given.  The attractor ranges over every code,
-    reached from the roots or not: the reached codes are closed under
-    successors, so on them it is the same.
+    Codes are ``i * (nq + 1) + t`` for the i-th vertex of the roots' cone
+    and every rank t of the ranked ``table`` (``_cone_game``), nq the state
+    count; slot nq of each vertex is the losing sink where an undefined
+    transition leads.  The attractor ranges over every code, reached from
+    the roots or not: the reached codes are closed under successors, so on
+    them it is the same.
 
     The predecessors of (w, t) are generated level by level: (v, q) for each
     game edge (v, c, w) and each q with ``table[q, c] == t``, read off the
-    table's preimages (``_preimages``); the sink's are (v, q) for every game
-    edge and each q undefined on its color.  Per code there is a single
-    int32, 4 bytes: a counter of the edges it still needs into the
-    attractor (the game out-degree for Eve, 1 for Adam, 0 for Eve dead ends
-    and the sink), which is <= 0 once the code is attracted.  The stats
-    give the codes spanned (``product_states``) and those attracted
-    (``attracted``), the route's work.
+    table's preimages (``_preimages``), whose group for t = nq lists the
+    states undefined on c.  Per code there is a single int32, 4 bytes: a
+    counter of the edges it still needs into the attractor (the game
+    out-degree for Eve, 1 for Adam, 0 for Eve dead ends and the sink slots),
+    which is <= 0 once the code is attracted.  The stats give the codes
+    spanned (``product_states``) and those attracted (``attracted``), the
+    route's work, with the sink counted once.
     """
-    g = game.graph
-    nq = aut.state_count
-    colors, src, dst, cid = _sorted_edges(g)
-    if table is None:
-        table = _transition_table(aut, colors)
+    table, initial, root_ids, eve, src, dst, cid = _cone_game(game, aut, roots, table)
+    nq, stride = aut.state_count, aut.state_count + 1
+    n = eve.size
     state_ptr, state_of = _preimages(table)
 
-    # the game restricted to the roots' cone, its vertices renumbered densely
-    ptr = np.zeros(g.vertex_count + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=g.vertex_count), out=ptr[1:])
-    inside = _cone(ptr, dst, roots)
-    index = np.cumsum(inside) - 1
-    keep = inside[src]
-    src, dst, cid = index[src[keep]], index[dst[keep]], cid[keep]
-    n, m = int(inside.sum()), src.size
-    bot = n * nq
-
-    # the edges into each vertex by target, then every edge again as an edge
-    # into the sink (vertex n); each as its source's code base and the
-    # preimage group of its color, which the sink's copy offsets to the
-    # undefined slot
+    # the edges into each vertex by target, each as its source's code base
+    # and the preimage group of its color
     order = np.argsort(dst)
-    rptr = np.zeros(n + 2, dtype=np.int64)
-    np.cumsum(np.bincount(dst, minlength=n), out=rptr[1 : n + 1])
-    rptr[n + 1] = 2 * m
-    base = np.concatenate((src[order], src)) * nq
-    group = np.concatenate((cid[order], cid)) * (nq + 1)
-    group[m:] += nq
+    rptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(dst, minlength=n), out=rptr[1:])
+    base = src[order] * stride
+    group = cid[order] * stride
 
-    eve = np.fromiter((o is EVE for o in game.owner), dtype=bool, count=g.vertex_count)[inside]
-    counter = np.empty(bot + 1, dtype=np.int32)
-    counter[:bot].reshape(n, nq)[:] = np.where(eve, np.bincount(src, minlength=n), 1)[:, None]
-    counter[bot] = 0
+    counter = np.empty((n, stride), dtype=np.int32)
+    counter[:, :nq] = np.where(eve, np.bincount(src, minlength=n), 1)[:, None]
+    counter[:, nq] = 0
+    counter = counter.ravel()
 
     def preds(frontier: np.ndarray) -> np.ndarray:
-        w = frontier // nq
+        w = frontier // stride
         starts = rptr[w]
         lens = rptr[w + 1] - starts
         e = _slices(starts, lens, int(lens.sum()))
-        slot = group[e] + np.repeat(frontier - w * nq, lens)
+        slot = group[e] + np.repeat(frontier - w * stride, lens)
         starts = state_ptr[slot]
         lens = state_ptr[slot + 1] - starts
         return np.repeat(base[e], lens) + state_of[_slices(starts, lens, int(lens.sum()))]
 
-    # the seed level, the sink's predecessors among them, is swept at once
+    # the seed level, the sinks' predecessors among them, is swept at once
     pending = _absorb(counter, preds(np.flatnonzero(counter == 0)))
     # indexed as Python ints, without a copy
     cnt, rp, bs, gr, sp, so = map(memoryview, (counter, rptr, base, group, state_ptr, state_of))
@@ -498,7 +506,7 @@ def _solve_flat(game: Game, aut: SafetyAutomaton, roots: Sequence[int], table=No
         if len(pending) <= _SMALL_FRONTIER:
             if not isinstance(pending, list):
                 pending = pending.tolist()
-            w, t = divmod(pending.pop(), nq)
+            w, t = divmod(pending.pop(), stride)
             for j in range(rp[w], rp[w + 1]):
                 b, s = bs[j], gr[j] + t
                 for k in range(sp[s], sp[s + 1]):
@@ -511,40 +519,43 @@ def _solve_flat(game: Game, aut: SafetyAutomaton, roots: Sequence[int], table=No
             continue
         pending = _absorb(counter, preds(np.asarray(pending)))
 
-    wins = counter[index[np.asarray(roots, dtype=np.int64)] * nq + aut.initial] > 0
+    wins = counter[root_ids * stride + initial] > 0
     stats = {
         "path": "product",
         "automaton_states": nq,
-        "product_states": bot + 1,
-        "attracted": int(np.count_nonzero(counter <= 0)),
+        "product_states": n * nq + 1,
+        "attracted": int(np.count_nonzero(counter <= 0)) - n + 1,
     }
     return wins, stats
+
+
+def _preimage_ptr(table: np.ndarray) -> np.ndarray:
+    """CSR offsets of the inverse of a states x colors transition ``table``:
+    group g = i * (nq + 1) + t, for the i-th color and t in [0, nq], spans
+    ``ptr[g] : ptr[g + 1]`` and counts the states q with ``table[q, i] ==
+    t``.  Returns int64 ptr."""
+    nq, ncol = table.shape
+    ptr = np.zeros(ncol * (nq + 1) + 1, dtype=np.int64)
+    for i, column in enumerate(table.T):
+        ptr[i * (nq + 1) + 1 : (i + 1) * (nq + 1) + 1] = np.bincount(column, minlength=nq + 1)
+    return np.cumsum(ptr, out=ptr)
 
 
 def _preimages(table: np.ndarray):
     """The states x colors transition ``table`` inverted, as a CSR: the
     states q with ``table[q, i] == t`` are ``states[ptr[g] : ptr[g + 1]]``
-    for the group g = i * (nq + 1) + t, and those undefined on the i-th
-    color stand under t = nq.  Each (q, i) is listed once, in no particular
-    order within its group.  Returns (int64 ptr, int32 states)."""
-    nq, ncol = table.shape
-    keys = np.where(table < 0, nq, table).T.astype(np.int64)
-    keys += np.arange(ncol)[:, None] * (nq + 1)
-    keys = keys.ravel()
-    ptr = np.zeros(ncol * (nq + 1) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys, minlength=ncol * (nq + 1)), out=ptr[1:])
-    order = np.argsort(keys)
-    del keys
-    order %= nq
-    return ptr, order.astype(np.int32)
+    for the group g = i * (nq + 1) + t (``_preimage_ptr``), those undefined
+    on the i-th color under t = nq.  Each (q, i) is listed once, in no
+    particular order within its group.  Returns (int64 ptr, int32 states)."""
+    states = np.argsort(table, axis=0).T.astype(np.int32, order="C")
+    return _preimage_ptr(table), states.ravel()
 
 
 def _solve_lifts(game: Game, aut: SafetyAutomaton, roots: Sequence[int], table=None):
     """Solve the chained game by value iteration, without building the
     product.  Valid only when ``delta`` is monotone in the automaton's rank
     order on the game's colors (see ``_is_monotone``); ``table`` is its
-    ranked transition table on them (``_ranked``), filled here when not
-    given.
+    ranked transition table on them (``_cone_game``), filled when not given.
 
     Since a lower rank is then never worse for Eve, the states from which
     she wins at vertex v are those ranked up to a threshold ``t[v]`` (-1
@@ -553,31 +564,26 @@ def _solve_lifts(game: Game, aut: SafetyAutomaton, roots: Sequence[int], table=N
         t[v] = max (Eve) or min (Adam) over edges (v, c, w) of pre(c, t[w]),
 
     where ``pre(c, t)`` is the largest rank r with ``delta(r, c) <= t``, or
-    -1.  Iteration starts with every threshold at the last rank and Eve-owned
-    sinks at -1, and lifts the vertices of the roots' cone one at a time
-    from a LIFO worklist, which gets a vertex back whenever one of its
-    successors drops.  Returns (per-root win flags, stats dict).
+    -1 (``_pre_table``).  Iteration starts with every threshold at the last
+    rank and Eve-owned sinks at -1, and lifts the vertices of the roots'
+    cone one at a time from a LIFO worklist, which gets a vertex back
+    whenever one of its successors drops.  Returns (per-root win flags,
+    stats dict).
     """
-    g = game.graph
-    n, nq = g.vertex_count, aut.state_count
-    colors, src, dst, cid = _sorted_edges(g)
-    if table is None:
-        table = _ranked(_transition_table(aut, colors), aut.rank)
-    lookup = memoryview(_pre_table(table, nq))  # indexes as Python ints, without a copy
+    table, initial, root_ids, eve, src, dst, cid = _cone_game(game, aut, roots, table)
+    nq = aut.state_count
+    n = eve.size
+    lookup = memoryview(_pre_table(table))  # indexes as Python ints, without a copy
 
-    # only the edges leaving the game vertices reachable from the roots
-    ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=ptr[1:])
-    keep = _cone(ptr, dst, roots)[src]
-    sources = src[keep].tolist()
     # each edge as (its color's offset into the pre table, target)
+    sources = src.tolist()
     outs: list = [[] for _ in range(n)]
     preds: list = [[] for _ in range(n)]
-    for v, a, w in zip(sources, (cid[keep] * (nq + 1) + 1).tolist(), dst[keep].tolist()):
+    for v, a, w in zip(sources, (cid * (nq + 1) + 1).tolist(), dst.tolist()):
         outs[v].append((a, w))
         preds[w].append(v)
 
-    eve = [o is EVE for o in game.owner]
+    eve = eve.tolist()
     level = [nq - 1] * n
     for v in range(n):
         if eve[v] and not outs[v]:
@@ -600,8 +606,7 @@ def _solve_lifts(game: Game, aut: SafetyAutomaton, roots: Sequence[int], table=N
                     queued[u] = 1
                     pending.append(u)
 
-    initial = aut.initial if aut.rank is None else int(aut.rank[aut.initial])
-    wins = [initial <= level[v] for v in roots]
+    wins = [initial <= level[v] for v in root_ids.tolist()]
     stats = {"path": "lifts", "automaton_states": nq, "vertex_lifts": lifts}
     return wins, stats
 
@@ -622,42 +627,34 @@ def _cone(ptr: np.ndarray, dst: np.ndarray, roots: Sequence[int]) -> np.ndarray:
 
 
 def _is_monotone(table: np.ndarray) -> bool:
-    """Is every column of a transition table non-decreasing in the state,
-    with undefined (-1) counting as above every state?  Stops at the first
-    column that decreases."""
-    top = len(table)
+    """Is every column of a transition table non-decreasing in the state?
+    Stops at the first column that decreases."""
     for column in table.T:
-        ordered = np.where(column < 0, top, column)
-        if (ordered[1:] < ordered[:-1]).any():
+        if (column[1:] < column[:-1]).any():
             return False
     return True
 
 
 def _ranked(table: np.ndarray, rank: Optional[np.ndarray]) -> np.ndarray:
     """A transition table renumbered by ``rank``: row ``rank[q]`` holds the
-    ranks of q's successors, -1 where undefined.  The table itself when
-    ``rank`` is ``None``."""
+    ranks of q's successors, the sink ``state_count`` ranking last.  The
+    table itself when ``rank`` is ``None``."""
     if rank is None:
         return table
-    targets = table[np.argsort(rank)]
-    return np.where(targets < 0, -1, rank.astype(np.int32)[targets])
+    return np.append(rank, len(rank)).astype(np.int32)[table[np.argsort(rank)]]
 
 
-def _pre_table(table: np.ndarray, nq: int) -> np.ndarray:
+def _pre_table(table: np.ndarray) -> np.ndarray:
     """``pre(c, t)`` of a monotone transition table: the largest state q with
-    ``delta(q, c) <= t`` (-1 if none), for the i-th color c and every t in
-    [-1, nq), as an int32 array indexed ``i * (nq + 1) + t + 1``."""
-    ncol = table.shape[1]
-    # undefined counts as above every state
-    ordered = np.where(table < 0, nq, table)
-    # one search over the color columns laid end to end, each offset by
-    # i * (nq + 2) so that no two columns' ranges meet
-    stride = np.arange(ncol, dtype=np.int64)[:, None] * (nq + 2)
-    laid = (ordered.T + stride).ravel()
-    del ordered
-    pre = np.searchsorted(laid, (np.arange(-1, nq) + stride).ravel(), side="right") - 1
-    pre -= np.repeat(np.arange(ncol, dtype=np.int64) * nq, nq + 1)
-    return pre.astype(np.int32)
+    ``table[q, c] <= t`` (-1 if none), for the i-th color c and every t in
+    [-1, nq), as an int32 array indexed ``i * (nq + 1) + t + 1``.  The
+    states with ``table[q, c] <= t`` are a prefix, so ``pre(c, t)`` is their
+    number - 1: the preimage offset of group ``i * (nq + 1) + t + 1``
+    (``_preimage_ptr``) less the i * nq entries of the earlier colors, - 1."""
+    nq, ncol = table.shape
+    pre = _preimage_ptr(table)[:-1].reshape(ncol, nq + 1)
+    pre -= np.arange(ncol, dtype=np.int64)[:, None] * nq + 1
+    return pre.astype(np.int32).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -669,16 +666,14 @@ def _solve_roots(game: Game, aut: SafetyAutomaton, roots: Sequence[int]):
     """Does Eve win the chained game from ``(v, initial)``, for each root v?
     Returns (per-root win flags, stats dict naming the route in ``path``).
 
-    The transition table on the game's colors is filled once.  If it is
-    monotone in the automaton's rank order the game is solved by lifts,
-    otherwise by the flat product.
+    The transition table on the game's colors is filled and ranked once,
+    and handed to either route: lifts if it is monotone, otherwise the flat
+    product.
     """
     _check_alphabet(game, aut)
-    table = _transition_table(aut, _game_colors(game.graph))
-    ranked = _ranked(table, aut.rank)
-    if _is_monotone(ranked):
-        return _solve_lifts(game, aut, roots, ranked)
-    return _solve_flat(game, aut, roots, table)
+    table = _ranked(_transition_table(aut, _game_colors(game.graph)), aut.rank)
+    solve = _solve_lifts if _is_monotone(table) else _solve_flat
+    return solve(game, aut, roots, table)
 
 
 def solve_via_separating(game: Game, v0: int, aut: SafetyAutomaton) -> bool:
@@ -775,7 +770,7 @@ def reachable_graph(aut: SafetyAutomaton) -> Graph:
 
 
 def reachable_state_count(aut: SafetyAutomaton) -> int:
-    return reachable_graph(aut).vertex_count
+    return len(_reachable(aut)[0])
 
 
 # ---------------------------------------------------------------------------

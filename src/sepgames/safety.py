@@ -11,7 +11,7 @@ whole computation is O(n + m log m).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -130,10 +130,16 @@ def _slices(starts: np.ndarray, lens: np.ndarray, total: int) -> np.ndarray:
     return np.repeat(starts - np.cumsum(lens) + lens, lens) + np.arange(total)
 
 
-def _game_arrays(game: Game):
+def _attracted(game: Game, target: Sequence[int]) -> np.ndarray:
+    """Membership mask of Adam's attractor to ``target`` and the Eve-owned
+    sinks, on a game with at least one vertex."""
     g = game.graph
-    eve_mask = np.fromiter((o is EVE for o in game.owner), dtype=bool, count=g.vertex_count)
-    return g._src_array, g._dst_array, eve_mask
+    n = g.vertex_count
+    eve_mask = np.fromiter((o is EVE for o in game.owner), dtype=bool, count=n)
+    eve_sinks = np.flatnonzero(eve_mask & (np.bincount(g._src_array, minlength=n) == 0))
+    seed = np.union1d(np.asarray(target, dtype=np.int64), eve_sinks)
+    # called through the module attribute, which a tracer may replace
+    return _attract(n, g._src_array, g._dst_array, eve_mask, seed)
 
 
 def _require_safety(game: Game) -> None:
@@ -156,11 +162,7 @@ def adam_attractor(game: Game, target: Iterable[int]) -> frozenset:
             raise InvalidGameError(f"target vertex {v} out of range")
     if n == 0:
         return frozenset()
-    srcs, dsts, eve_mask = _game_arrays(game)
-    outdeg = np.bincount(srcs, minlength=n)
-    eve_sinks = np.flatnonzero(eve_mask & (outdeg == 0))
-    seed = np.union1d(np.asarray(target, dtype=np.int64), eve_sinks)
-    x = _attract(n, srcs, dsts, eve_mask, seed)
+    x = _attracted(game, target)
     return frozenset(int(v) for v in np.flatnonzero(x))
 
 
@@ -171,18 +173,13 @@ def solve_safety(game: Game) -> WinningRegion:
     n = game.vertex_count
     if n == 0:
         return WinningRegion(frozenset(), PositionalStrategy({}))
-    srcs, dsts, eve_mask = _game_arrays(game)
-    outdeg = np.bincount(srcs, minlength=n)
-    eve_sinks = np.flatnonzero(eve_mask & (outdeg == 0))
-    attracted = _attract(n, srcs, dsts, eve_mask, eve_sinks)
-    win = ~attracted
+    win = ~_attracted(game, ())
 
     choices = {}
-    if len(srcs):
-        good = win[srcs] & win[dsts] & eve_mask[srcs]
-        for i in np.flatnonzero(good):
-            u = int(srcs[i])
-            if u not in choices:
-                choices[u] = game.graph.edges[i]
+    srcs, dsts = game.graph._src_array, game.graph._dst_array
+    for i in np.flatnonzero(win[srcs] & win[dsts]):
+        u = int(srcs[i])
+        if u not in choices and game.owner[u] is EVE:
+            choices[u] = game.graph.edges[i]
     eve_wins = frozenset(int(v) for v in np.flatnonzero(win))
     return WinningRegion(eve_wins, PositionalStrategy(choices))

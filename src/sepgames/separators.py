@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .automaton import SafetyAutomaton, _walk
+from .automaton import SafetyAutomaton, _check_alphabet, _walk
 from .core import InvalidGameError, MeanPayoff, Parity
 
 __all__ = [
@@ -305,6 +305,7 @@ def separator_stats(aut: SafetyAutomaton, bound: Optional[int] = None, game=None
     if bound is not None:
         stats["bound"] = bound
     if game is not None:
+        _check_alphabet(game, aut)
         # the roots, then every target met; the sink is the code None
         codes = {v * aut.state_count + aut.initial for v in range(game.vertex_count)}
         edges = 0

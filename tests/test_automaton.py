@@ -212,6 +212,20 @@ def test_chain_runs_eventually_settle_in_one_copy():
         assert len({block(v) for v in cycle_vs}) <= 1  # reindexed ids keep order
 
 
+def test_reachable_state_count_is_the_induced_graph_size():
+    from sepgames import MeanPayoffDisjunction, Parity, ParityOrMeanPayoff, reachable_graph, reachable_state_count
+
+    rng = random.Random(744)
+    auts = [
+        build_separator(objective, n)
+        for objective in (Parity(3), MeanPayoff(2), ParityOrMeanPayoff(2, 1), MeanPayoffDisjunction(2, 1))
+        for n in (1, 3)
+    ]
+    auts += [_kernelless_chain(rng) for _ in range(5)]
+    for aut in auts:
+        assert reachable_state_count(aut) == reachable_graph(aut).vertex_count
+
+
 # ---------------------------------------------------------------------------
 # chained game
 # ---------------------------------------------------------------------------
@@ -377,7 +391,7 @@ def test_flat_and_object_paths_agree():
 
 
 def test_preimages_list_each_state_and_color_once():
-    # every (q, i) under table[q, i], or under nq where undefined
+    # every (q, i) under table[q, i], the sink nq where undefined
     from sepgames import ParityOrMeanPayoff
     from sepgames.automaton import _game_colors
 
@@ -385,7 +399,7 @@ def test_preimages_list_each_state_and_color_once():
     tables = []
     for _ in range(60):
         nq, ncol = rng.randint(1, 9), rng.randint(0, 5)
-        cells = [rng.randrange(-1, nq) for _ in range(nq * ncol)]
+        cells = [rng.randrange(nq + 1) for _ in range(nq * ncol)]
         tables.append(np.array(cells, dtype=np.int32).reshape(nq, ncol))
     game = generate_game(6, 1, 3, ParityOrMeanPayoff(3, 2), seed=743)
     aut = build_separator(game.objective, 6)
@@ -396,7 +410,7 @@ def test_preimages_list_each_state_and_color_once():
         assert ptr.size == ncol * (nq + 1) + 1 and states.dtype == np.int32
         listed = sorted((int(q), g) for g in range(ncol * (nq + 1)) for q in states[ptr[g] : ptr[g + 1]])
         expected = sorted(
-            (q, i * (nq + 1) + (t if t >= 0 else nq)) for q in range(nq) for i, t in enumerate(table[q].tolist())
+            (q, i * (nq + 1) + t) for q in range(nq) for i, t in enumerate(table[q].tolist())
         )
         assert listed == expected
 

@@ -3,7 +3,8 @@
 Every library separator evaluates its transitions two ways: ``delta`` one
 (state, color) at a time, and ``row_kernel`` for whole arrays of states.
 The kernel must agree with ``delta`` on every state and every color, with
--1 where ``delta`` is undefined.
+-1 where ``delta`` is undefined; the solvers' transition table holds the
+same entries, with ``state_count`` (the losing sink) in place of -1.
 """
 
 import random
@@ -19,7 +20,7 @@ from sepgames import (
     parity_mp_separator,
     parity_separator,
 )
-from sepgames.automaton import _is_monotone, _ranked, _transition_table
+from sepgames.automaton import _is_monotone, _pre_table, _ranked, _transition_table
 
 
 def _scalar_table(aut, colors, states):
@@ -34,7 +35,10 @@ def _assert_kernel_is_delta(aut):
     colors = list(aut.alphabet.colors())
     rows = aut.row_kernel(colors)
     every = np.arange(aut.state_count)
-    assert np.array_equal(rows(every), _scalar_table(aut, colors, every))
+    kernel = rows(every)
+    assert np.array_equal(kernel, _scalar_table(aut, colors, every))
+    table = _transition_table(aut, colors)
+    assert np.array_equal(table, np.where(kernel < 0, aut.state_count, kernel))
     # arbitrary order with repeats, and a subset of the colors
     rng = random.Random(aut.state_count)
     shuffled = np.array([rng.randrange(aut.state_count) for _ in range(2 * aut.state_count)])
@@ -88,6 +92,23 @@ def test_parity_delta_is_monotone_in_leaf_order(n, d):
         assert (np.diff(column[~undefined]) >= 0).all()
     # and the solver's check, on the table its route fills, agrees
     assert _is_monotone(_transition_table(aut, list(aut.alphabet.colors())))
+
+
+def test_pre_table_is_the_last_state_at_or_below_each_rank():
+    # random monotone tables whose undefined entries (nq) fill a suffix of
+    # each column, against pre(c, t) = max{q : table[q, c] <= t}, or -1
+    rng = random.Random(745)
+    shapes = [(1, 0), (3, 0), (1, 1), (1, 3)] + [(rng.randint(1, 12), rng.randint(1, 4)) for _ in range(40)]
+    for nq, ncol in shapes:
+        columns = [sorted(rng.randrange(nq + 1) for _ in range(nq)) for _ in range(ncol)]
+        table = np.array(columns, dtype=np.int32).T.reshape(nq, ncol)
+        assert _is_monotone(table)
+        pre = _pre_table(table)
+        assert pre.dtype == np.int32 and pre.size == ncol * (nq + 1)
+        for i, column in enumerate(columns):
+            for t in range(-1, nq):
+                expected = max((q for q in range(nq) if column[q] <= t), default=-1)
+                assert pre[i * (nq + 1) + t + 1] == expected
 
 
 def test_parity_kernel_table_is_built_on_first_call_only(monkeypatch):

@@ -254,3 +254,11 @@ def test_stats_emitter():
     aut = mp_separator(4, 2)
     stats = separator_stats(aut, bound=(4 - 1) * 2 + 1)
     assert stats == {"states": 7, "alphabet_size": 5, "bound": 7}
+
+
+def test_stats_reject_a_game_of_another_objective():
+    from sepgames import AlphabetMismatchError, Parity, generate_game
+
+    game = generate_game(5, 1, 2, Parity(3), seed=1)
+    with pytest.raises(AlphabetMismatchError):
+        separator_stats(mp_separator(5, 1), game=game)
