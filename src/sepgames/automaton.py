@@ -25,10 +25,10 @@ the table alone:
   O(states x colors + edges).
 * product: otherwise, Adam's attractor on the integer-coded product of the
   roots' cone with every state and the sink (``_solve_flat``).  It neither
-  explores the product nor stores its edges: predecessors are generated
-  level by level from the game's edges by target and the inverse, and each
-  code holds one int32 counter; memory is O(cone vertices x states +
-  states x colors).
+  explores the product nor stores its edges: the safety solver's attractor
+  (``safety._drain``) generates predecessors level by level from the
+  game's edges by target and the inverse, and each code holds one int32
+  counter; memory is O(cone vertices x states + states x colors).
 
 Both compute the winning region of the same chained safety game.  The one
 product exploration is ``_walk``, a lazy depth-first walk from the roots
@@ -64,7 +64,7 @@ from .core import (
 # _attract and solve_safety are not called here, but stay module attributes:
 # perfbench/tracing.py replaces both by name on install, and a traced run
 # fails without them
-from .safety import _SMALL_FRONTIER, _absorb, _attract, _slices, solve_safety  # noqa: F401
+from .safety import _attract, _drain, _slices, solve_safety  # noqa: F401
 
 __all__ = [
     "SafetyAutomaton",
@@ -121,6 +121,9 @@ class SafetyAutomaton:
             raise InvalidGameError("an automaton needs at least one state")
         if not 0 <= self.initial < self.state_count:
             raise InvalidGameError("initial state out of range")
+        rank, nq = self.rank, self.state_count
+        if rank is not None and not (np.shape(rank) == (nq,) and np.array_equal(np.sort(rank), np.arange(nq))):
+            raise InvalidGameError("rank must be a permutation of the states")
 
     def label(self, q: int) -> str:
         return self.state_label(q) if self.state_label else str(q)
@@ -460,7 +463,8 @@ def _solve_flat(game: Game, aut: SafetyAutomaton, roots: Sequence[int], table=No
     the roots or not: the reached codes are closed under successors, so on
     them it is the same.
 
-    The predecessors of (w, t) are generated level by level: (v, q) for each
+    The attractor is ``safety._drain``, the one the safety solver runs too.
+    It generates the predecessors of (w, t) level by level: (v, q) for each
     game edge (v, c, w) and each q with ``table[q, c] == t``, read off the
     table's preimages (``_preimages``), whose group for t = nq lists the
     states undefined on c.  Per code there is a single int32, 4 bytes: a
@@ -475,49 +479,11 @@ def _solve_flat(game: Game, aut: SafetyAutomaton, roots: Sequence[int], table=No
     n = eve.size
     state_ptr, state_of = _preimages(table)
 
-    # the edges into each vertex by target, each as its source's code base
-    # and the preimage group of its color
-    order = np.argsort(dst)
-    rptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(dst, minlength=n), out=rptr[1:])
-    base = src[order] * stride
-    group = cid[order] * stride
-
     counter = np.empty((n, stride), dtype=np.int32)
     counter[:, :nq] = np.where(eve, np.bincount(src, minlength=n), 1)[:, None]
     counter[:, nq] = 0
     counter = counter.ravel()
-
-    def preds(frontier: np.ndarray) -> np.ndarray:
-        w = frontier // stride
-        starts = rptr[w]
-        lens = rptr[w + 1] - starts
-        e = _slices(starts, lens, int(lens.sum()))
-        slot = group[e] + np.repeat(frontier - w * stride, lens)
-        starts = state_ptr[slot]
-        lens = state_ptr[slot + 1] - starts
-        return np.repeat(base[e], lens) + state_of[_slices(starts, lens, int(lens.sum()))]
-
-    # the seed level, the sinks' predecessors among them, is swept at once
-    pending = _absorb(counter, preds(np.flatnonzero(counter == 0)))
-    # indexed as Python ints, without a copy
-    cnt, rp, bs, gr, sp, so = map(memoryview, (counter, rptr, base, group, state_ptr, state_of))
-    while len(pending):
-        if len(pending) <= _SMALL_FRONTIER:
-            if not isinstance(pending, list):
-                pending = pending.tolist()
-            w, t = divmod(pending.pop(), stride)
-            for j in range(rp[w], rp[w + 1]):
-                b, s = bs[j], gr[j] + t
-                for k in range(sp[s], sp[s + 1]):
-                    u = b + so[k]
-                    left = cnt[u]
-                    if left > 0:
-                        cnt[u] = left - 1
-                        if left == 1:
-                            pending.append(u)
-            continue
-        pending = _absorb(counter, preds(np.asarray(pending)))
+    _drain(counter, stride, src * stride, dst, cid * stride, state_ptr, state_of)
 
     wins = counter[root_ids * stride + initial] > 0
     stats = {

@@ -181,14 +181,10 @@ def embeds(v, u) -> bool:
 def _component_counter(k: int, dimensions: int, weight_bound: int, component: int) -> SafetyAutomaton:
     """A bounded counter reading only one component of the weight vectors."""
     base = mp_separator(k, weight_bound)
-    top = base.state_count - 1
     low = -weight_bound
 
     def delta(q: int, vec) -> Optional[int]:
-        s = q + vec[component]
-        if s < 0:
-            return None
-        return s if s < top else top
+        return base.delta(q, vec[component])
 
     def outgoing(q: int):
         # weight-minimal representatives: one edge per distinct counter move,

@@ -6,6 +6,12 @@ edge into the attracted set and every Eve vertex whose remaining out-degree
 counter drops to zero.  Each edge is inspected exactly once overall; the
 predecessor CSR and each vectorized level are grouped by a sort, so the
 whole computation is O(n + m log m).
+
+The one loop, ``_drain``, runs on the integer-coded product of a game with
+an automaton whose transitions it reads inverted, without storing the
+product's edges.  It serves both the explicit games solved here, as their
+product with a one-state automaton, and the product route of
+``automaton._solve_flat``.
 """
 
 from __future__ import annotations
@@ -70,58 +76,81 @@ def _attract(vertex_count: int, srcs, dsts, eve_mask, seed) -> np.ndarray:
     ``seed`` must already contain every vertex that joins unconditionally
     (for game-level calls: Eve-owned sinks).  Returns a bool membership array.
 
-    Every absorbed vertex has its predecessor list scanned exactly once:
-    small frontiers are drained with a plain worklist, large ones with one
-    vectorized sweep per level (``_absorb``; same fixpoint either way).
-
     Edge arrays keep the caller's integer dtype.  An Adam vertex is treated
     as an Eve vertex that needs a single edge into the set: its counter
     starts at 1.  A vertex without edges joins only as a seed, and the
-    seed's counters start at 0.
+    seed's counters start at 0.  The game is drained as its product with a
+    one-state automaton: stride 1, every edge in group 0, whose preimage is
+    that state.
     """
     seed = np.asarray(seed)
     if seed.size == 0:
         return np.zeros(vertex_count, dtype=bool)
 
     srcs = np.asarray(srcs)
-    dsts = np.asarray(dsts)
     counter = np.bincount(srcs, minlength=vertex_count)
     counter[~np.asarray(eve_mask, dtype=bool)] = 1
     counter[counter == 0] = 1
     counter[seed] = 0
+    ptr, states = np.array([0, 1]), np.zeros(1, dtype=np.int32)
+    _drain(counter, 1, srcs, np.asarray(dsts), np.zeros_like(srcs), ptr, states)
+    return counter <= 0
 
-    # CSR over predecessors: preds of v are pred_src[ptr[v]:ptr[v+1]].  One
-    # value sort of (dst << 32 | src) keys groups them; the order inside a
-    # group does not matter to the fixpoint.
-    keys = dsts.astype(np.int64)
-    keys <<= 32
-    keys |= srcs
-    keys.sort()
-    keys &= 0xFFFFFFFF
-    pred_src = keys.astype(srcs.dtype)
-    del keys
-    ptr = np.zeros(vertex_count + 1, dtype=np.int64)
-    np.cumsum(np.bincount(dsts, minlength=vertex_count), out=ptr[1:])
 
-    pending = np.flatnonzero(counter == 0)
+def _drain(counter, stride: int, base, dst, group, state_ptr, state_of) -> None:
+    """Adam's attractor, in place, on a product whose codes are ``v * stride
+    + t`` for game vertex v and automaton state t.
+
+    ``counter[c]`` is the number of edges code c still needs into the
+    attractor, <= 0 once it is in; the codes at 0 are the seed.  The
+    product's edges are never stored: the j-th game edge, from v into
+    ``dst[j]`` = w, comes as its source's code base ``base[j]`` = v * stride
+    and its color's preimage group ``group[j]``, and the predecessors of
+    (w, t) along it are ``base[j] + q`` for the states q in
+    ``state_of[state_ptr[s] : state_ptr[s + 1]]``, s = ``group[j] + t``.
+
+    The edges are grouped by target once.  The seed level is swept at once;
+    then small frontiers are drained with a plain worklist, large ones with
+    one vectorized sweep per level (``_absorb``; same fixpoint either way).
+    Every code that joins has its predecessors generated exactly once.
+    """
+    n = counter.size // stride
+    order = np.argsort(dst)
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(dst, minlength=n), out=ptr[1:])
+    base = base[order]
+    group = group[order]
+    del order
+
+    def preds(frontier: np.ndarray) -> np.ndarray:
+        w = frontier // stride
+        starts = ptr[w]
+        lens = ptr[w + 1] - starts
+        e = _slices(starts, lens, int(lens.sum()))
+        slot = group[e] + np.repeat(frontier - w * stride, lens)
+        starts = state_ptr[slot]
+        lens = state_ptr[slot + 1] - starts
+        return np.repeat(base[e], lens) + state_of[_slices(starts, lens, int(lens.sum()))]
+
+    pending = _absorb(counter, preds(np.flatnonzero(counter == 0)))
+    # indexed as Python ints, without a copy
+    cnt, rp, bs, gr, sp, so = map(memoryview, (counter, ptr, base, group, state_ptr, state_of))
     while len(pending):
         if len(pending) <= _SMALL_FRONTIER:
             if not isinstance(pending, list):
                 pending = pending.tolist()
-            v = pending.pop()
-            for u in pred_src[ptr[v] : ptr[v + 1]].tolist():
-                if counter[u] <= 0:
-                    continue
-                counter[u] -= 1
-                if counter[u] > 0:
-                    continue
-                pending.append(u)
+            w, t = divmod(pending.pop(), stride)
+            for j in range(rp[w], rp[w + 1]):
+                b, s = bs[j], gr[j] + t
+                for k in range(sp[s], sp[s + 1]):
+                    u = b + so[k]
+                    left = cnt[u]
+                    if left > 0:
+                        cnt[u] = left - 1
+                        if left == 1:
+                            pending.append(u)
             continue
-        frontier = np.asarray(pending)
-        starts = ptr[frontier]
-        lens = ptr[frontier + 1] - starts
-        pending = _absorb(counter, pred_src[_slices(starts, lens, int(lens.sum()))])
-    return counter <= 0
+        pending = _absorb(counter, preds(np.asarray(pending)))
 
 
 def _slices(starts: np.ndarray, lens: np.ndarray, total: int) -> np.ndarray:

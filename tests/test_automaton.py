@@ -13,6 +13,7 @@ from sepgames import (
     AlphabetMismatchError,
     Game,
     Graph,
+    InvalidGameError,
     MeanPayoff,
     SafetyAutomaton,
     Safety,
@@ -357,7 +358,8 @@ def test_flat_and_object_paths_agree():
     # the flat solve's implicit predecessors against the safety solver on
     # the product decoded by chained_game, from every root: all four
     # families and a chain without a row kernel, on games with dead ends of
-    # both owners; its attracted count against the full product's
+    # both owners; its attracted count and the root's verdict against the
+    # full product's, solved by the reference outside the shared attractor
     from conftest import random_objective
 
     rng = random.Random(13)
@@ -383,11 +385,52 @@ def test_flat_and_object_paths_agree():
                 assert single_stats["product_states"] == len(cone) * nq + 1
                 if len(cone) * nq <= 400:
                     full = _full_product(game, aut, cone)
-                    lost = full.vertex_count - len(refs.naive_safety_region(full))
-                    assert single_stats["attracted"] == lost
+                    region = refs.naive_safety_region(full)
+                    assert single_stats["attracted"] == full.vertex_count - len(region)
+                    assert (cone.index(v) * nq + aut.initial in region) == won
             assert frozenset(v for v in range(n) if flags[v]) == separating_winning_region(game, aut)
             dead_ends |= {game.owner[v] for v in range(n) if not game.graph.successors[v]}
     assert dead_ends == {EVE, ADAM}
+
+
+def test_flat_product_same_under_either_frontier_branch(monkeypatch):
+    # the shared attractor drains a small frontier with a worklist and a
+    # large one by vectorized levels: forcing either branch throughout must
+    # not change a parity-mp verdict or stat
+    from conftest import random_objective
+
+    from sepgames import safety
+
+    rng = random.Random(88)
+    verdicts = set()
+    for _ in range(30):
+        n = rng.randint(4, 9)
+        obj = random_objective(rng, "parity-mp")
+        game = generate_game(n, 0, 3, obj, seed=rng.randrange(10**9))
+        aut = build_separator(obj, n)
+        roots = list(range(n))
+        runs = []
+        for threshold in (0, 10**9):
+            monkeypatch.setattr(safety, "_SMALL_FRONTIER", threshold)
+            flags, stats = _solve_flat(game, aut, roots)
+            runs.append((flags.tolist(), stats))
+        assert runs[0] == runs[1]
+        verdicts.add(frozenset(runs[0][0]))
+    assert frozenset({True, False}) in verdicts
+
+
+def test_rank_must_be_a_permutation_of_the_states():
+    # a zero rank used to shrink this region to {0, 1, 4} without an error,
+    # and a rank of the wrong length to end in a raw IndexError
+    edges = ((0, 0, 4), (0, 1, 0), (1, 0, 1), (1, 1, 4), (1, -1, 4), (2, 1, 1))
+    edges += ((2, -1, 4), (2, -1, 3), (3, 1, 0), (3, 0, 0), (3, -1, 4), (4, 1, 1))
+    game = Game(Graph(5, edges), (ADAM, EVE, ADAM, ADAM, EVE), MeanPayoff(1))
+    aut = build_separator(MeanPayoff(1), 5)
+    assert separating_winning_region(game, aut) == frozenset(range(5))
+    for rank in (np.zeros(5, dtype=np.int64), np.arange(3), np.arange(6), np.arange(-1, 4), [[0, 1, 2, 3, 4]]):
+        with pytest.raises(InvalidGameError):
+            dataclasses.replace(aut, rank=rank)
+    assert dataclasses.replace(aut, rank=[4, 2, 0, 1, 3]).rank == [4, 2, 0, 1, 3]
 
 
 def test_preimages_list_each_state_and_color_once():
