@@ -5,10 +5,9 @@ An automaton is a partial transition function over dense integer states; big
 generated families (tree-walking parity automata, bounded counters, their
 sequential chains) expose ``delta`` as a computed function rather than a
 table.  Each family also has a vectorized ``row_kernel`` that evaluates
-``delta`` for whole arrays of states at once (the parity one from
-per-priority leaf spans it tabulates on first use); the lifts and the flat
-product below fill their states x colors transition table with it in one
-pass.
+``delta`` for whole arrays of states at once (the parity one by searching
+the universal tree's per-level node starts); the lifts and the flat product
+below fill their states x colors transition table with it in one pass.
 
 Solving a game through a separating automaton fills that table once, on
 the game's colors, with ``state_count`` where ``delta`` is undefined: the

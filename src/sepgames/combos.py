@@ -178,9 +178,10 @@ def embeds(v, u) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _component_counter(k: int, dimensions: int, weight_bound: int, component: int) -> SafetyAutomaton:
-    """A bounded counter reading only one component of the weight vectors."""
-    base = mp_separator(k, weight_bound)
+def _component_counter(base: SafetyAutomaton, dimensions: int, component: int) -> SafetyAutomaton:
+    """The bounded counter ``base`` reading only one component of the
+    weight vectors."""
+    weight_bound = base.alphabet.weight_bound
     low = -weight_bound
 
     def delta(q: int, vec) -> Optional[int]:
@@ -224,7 +225,8 @@ def disjmp_scc_separator(k: int, dimensions: int, weight_bound: int) -> SafetyAu
     """
     if dimensions < 1:
         raise InvalidGameError("need at least one weight component")
-    copies = [_component_counter(k, dimensions, weight_bound, i) for i in range(dimensions)]
+    base = mp_separator(k, weight_bound)
+    copies = [_component_counter(base, dimensions, i) for i in range(dimensions)]
     return sequential_fold(copies)
 
 

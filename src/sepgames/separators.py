@@ -3,10 +3,10 @@
 * Parity: states are the leaves of a universal tree of height ceil(d/2);
   reading an odd priority moves to the first leaf past the current ancestor
   subtree at the priority's level, reading an even priority falls back to the
-  leftmost leaf below the ancestor at its level.  The scalar ``delta``
-  navigates the tree in O(height), with leaves addressed by index; the row
-  kernel reads a per-priority table of ancestor spans, O(leaves x height),
-  built on its first call.  Both are monotone in leaf order.
+  leftmost leaf below the ancestor at its level.  The tree is stored as the
+  sorted first leaves of each level's nodes, built on the first query; the
+  scalar ``delta`` bisects one level per call and the row kernel searches
+  whole arrays of states in it.  Both are monotone in leaf order.
 
 * Mean payoff: a saturating counter over [0, (n-1)*N], started at the top;
   a letter is rejected exactly when it would push the counter below zero.
@@ -14,10 +14,10 @@
 
 from __future__ import annotations
 
-import bisect
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,35 +35,32 @@ __all__ = [
 ]
 
 
-class _TreeNode:
-    """Internal node; ``cum`` holds prefix sums of the children's leaf counts
-    so navigation can binary-search a leaf index at each level."""
-
-    __slots__ = ("children", "leaf_count", "cum")
-
-    def __init__(self, children: tuple) -> None:
-        self.children = children
-        self.leaf_count = sum(c.leaf_count for c in children) if children else 1
-        cum = [0]
-        for c in children:
-            cum.append(cum[-1] + c.leaf_count)
-        self.cum = cum
-
-
-_LEAF = _TreeNode(())
+@lru_cache(maxsize=None)
+def _leaf_count(n: int, h: int) -> int:
+    if n <= 0:
+        return 0
+    if h == 0:
+        return 1
+    return _leaf_count(n // 2, h) + _leaf_count(n, h - 1) + _leaf_count(n - 1 - n // 2, h)
 
 
 @lru_cache(maxsize=None)
-def _build(n: int, h: int) -> Optional[_TreeNode]:
+def _node_starts(n: int, h: int) -> tuple:
+    """First leaves of the nodes of levels 1..h of the tree for capacity n and
+    height h, one sorted read-only int64 memoryview per level (bisect reads
+    Python ints from it, numpy reads it without a copy): level l of the
+    tree is level l of the tree for n // 2, then level l of the tree for
+    height h - 1, then level l of the tree for n - 1 - n // 2, each shifted
+    past the leaves before it; level h is the root alone."""
     if n <= 0:
-        return None
+        return (memoryview(np.zeros(0, dtype=np.int64)).toreadonly(),) * h
     if h == 0:
-        return _LEAF
-    left = _build(n // 2, h)
-    middle = _build(n, h - 1)
-    right = _build(n - 1 - n // 2, h)
-    children = (left.children if left else ()) + (middle,) + (right.children if right else ())
-    return _TreeNode(children)
+        return ()
+    left, middle, right = _node_starts(n // 2, h), _node_starts(n, h - 1), _node_starts(n - 1 - n // 2, h)
+    shift = _leaf_count(n // 2, h)
+    past = shift + _leaf_count(n, h - 1)
+    levels = [np.concatenate((a, np.add(b, shift), np.add(c, past))) for a, b, c in zip(left, middle, right)]
+    return tuple(memoryview(s).toreadonly() for s in levels + [np.zeros(1, dtype=np.int64)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,35 +71,49 @@ class UniversalTree:
 
     Built by halving: the root merges the children of the tree for half the
     capacity, one fresh subtree of full capacity and reduced height, and the
-    children of the tree for the remaining capacity.
+    children of the tree for the remaining capacity.  Leaves are numbered
+    left to right, and a node is known by its first leaf: ``levels[l]`` holds
+    the sorted first leaves of the nodes ``l`` levels above the leaves, so a
+    leaf's ancestor there is found by bisection.  The leaf count comes from
+    the same recursion on integers; the levels are built on first use.
     """
 
     capacity: int
     height: int
-    root: Optional[_TreeNode]
 
     @property
     def leaf_count(self) -> int:
-        return self.root.leaf_count if self.root else 0
+        return _leaf_count(self.capacity, self.height)
+
+    @cached_property
+    def levels(self) -> tuple:
+        """Per level, from the leaves (a ``range``) up to the root, the sorted
+        first leaves of its nodes."""
+        return (range(self.leaf_count),) + _node_starts(self.capacity, self.height)
 
     def leaf_tuple(self, index: int) -> tuple:
         """Child-index address of a leaf, from the root level down; the
         lexicographic order of addresses is the left-to-right leaf order."""
         self._check(index)
-        return tuple(self._descend(index))
+        address = []
+        first = 0  # the first leaf of the current ancestor
+        for starts in reversed(self.levels[:-1]):
+            j = bisect_right(starts, index) - 1
+            address.append(j - bisect_left(starts, first))
+            first = starts[j]
+        return tuple(address)
 
     def leaf_index(self, address: tuple) -> int:
         """Inverse of :meth:`leaf_tuple`."""
-        node = self.root
-        index = 0
-        if node is None or len(address) != self.height:
+        if not self.leaf_count or len(address) != self.height:
             raise InvalidGameError(f"address {address!r} does not fit this tree")
-        for ci in address:
-            if not 0 <= ci < len(node.children):
+        first, end = 0, self.leaf_count  # the current node's leaves
+        for starts, ci in zip(reversed(self.levels[:-1]), address):
+            lo, hi = bisect_left(starts, first), bisect_left(starts, end)
+            if not 0 <= ci < hi - lo:
                 raise InvalidGameError(f"address {address!r} does not fit this tree")
-            index += node.cum[ci]
-            node = node.children[ci]
-        return index
+            first, end = starts[lo + ci], starts[lo + ci + 1] if lo + ci + 1 < hi else end
+        return first
 
     def _check(self, index: int) -> None:
         if not 0 <= index < self.leaf_count:
@@ -114,69 +125,16 @@ class UniversalTree:
         self._check(index)
         if not 0 <= level <= self.height:
             raise InvalidGameError(f"level {level} out of range")
-        node = self.root
-        start = 0
-        depth = self.height
-        while depth > level:
-            rel = index - start
-            ci = _bisect_cum(node.cum, rel)
-            start += node.cum[ci]
-            node = node.children[ci]
-            depth -= 1
-        return start, node.leaf_count
-
-    def span_table(self) -> tuple:
-        """``(starts, ends)``, both of shape (height + 1, leaf_count): row
-        ``level`` holds, for every leaf, the first leaf and one past the last
-        leaf of its ancestor ``level`` levels up, as :meth:`ancestor_span`
-        gives them one at a time.  O(leaf_count * height)."""
-        total = self.leaf_count
-        starts = np.empty((self.height + 1, total), dtype=np.int64)
-        ends = np.empty_like(starts)
-        if self.root is None:
-            return starts, ends
-        # the nodes of one level, grouped by (shared) node object: the first
-        # leaf of every occurrence
-        level_nodes = {id(self.root): (self.root, [np.zeros(1, dtype=np.int64)])}
-        for level in range(self.height, -1, -1):
-            first = np.zeros(total, dtype=bool)
-            below: dict = {}
-            for node, chunks in level_nodes.values():
-                at = np.concatenate(chunks)
-                first[at] = True
-                by_child: dict = {}
-                for child, off in zip(node.children, node.cum):
-                    by_child.setdefault(id(child), (child, []))[1].append(off)
-                for key, (child, offs) in by_child.items():
-                    below.setdefault(key, (child, []))[1].append((at[:, None] + offs).ravel())
-            level_nodes = below
-            bounds = np.append(np.flatnonzero(first), total)
-            span = np.cumsum(first) - 1
-            starts[level] = bounds[span]
-            ends[level] = bounds[span + 1]
-        return starts, ends
-
-    def _descend(self, index: int) -> list:
-        node = self.root
-        start = 0
-        address = []
-        for _ in range(self.height):
-            rel = index - start
-            ci = _bisect_cum(node.cum, rel)
-            address.append(ci)
-            start += node.cum[ci]
-            node = node.children[ci]
-        return address
-
-
-def _bisect_cum(cum: list, rel: int) -> int:
-    return bisect.bisect_right(cum, rel) - 1
+        starts = self.levels[level]
+        j = bisect_right(starts, index)
+        end = starts[j] if j < len(starts) else self.leaf_count
+        return starts[j - 1], end - starts[j - 1]
 
 
 def universal_tree(n: int, h: int) -> UniversalTree:
     if n < 0 or h < 0:
         raise InvalidGameError("universal tree parameters must be >= 0")
-    return UniversalTree(capacity=n, height=h, root=_build(n, h))
+    return UniversalTree(capacity=n, height=h)
 
 
 def parity_separator(n: int, max_priority: int) -> SafetyAutomaton:
@@ -195,8 +153,12 @@ def parity_separator(n: int, max_priority: int) -> SafetyAutomaton:
     undefined.  So parity games are solved by value iteration over this
     order (the solver checks it on the filled transition table).
 
-    The row kernel reads a table ``T[p, q]``: the start of q's ancestor span
-    at p's level for even p, its end (or -1 past the last leaf) for odd p.
+    Priorities p and p + 1 (p even) read the same level, p // 2: the even
+    one the first leaf of q's ancestor there, the odd one the first leaf of
+    the next node on that level.  ``delta`` bisects the level's node starts
+    for one state; the row kernel searches them for a whole array of states
+    (-1 past the last leaf).  Neither builds anything at construction, so
+    the state count alone stays cheap at any size.
     """
     if n < 1 or max_priority < 0:
         raise InvalidGameError("parity separator needs n >= 1 and max_priority >= 0")
@@ -205,31 +167,35 @@ def parity_separator(n: int, max_priority: int) -> SafetyAutomaton:
     states = tree.leaf_count
 
     def delta(q: int, p: int) -> Optional[int]:
-        if p % 2:
-            start, count = tree.ancestor_span(q, (p + 1) // 2 - 1)
-            following = start + count
-            return following if following < states else None
-        start, _ = tree.ancestor_span(q, p // 2)
-        return start
+        if not 0 <= q < states or not 0 <= p >> 1 <= height:
+            raise InvalidGameError(f"no transition from state {q} on priority {p}")
+        starts = tree.levels[p >> 1]
+        j = bisect_right(starts, q)
+        if p & 1:
+            return starts[j] if j < len(starts) else None
+        return starts[j - 1]
 
     def state_label(q: int) -> str:
         return "(" + ",".join(str(x) for x in tree.leaf_tuple(q)) + ")"
 
-    table = None
-
     def row_kernel(colors: Sequence[int]):
-        nonlocal table
-        if table is None:
-            starts, ends = tree.span_table()
-            table = np.empty((max_priority + 1, states), dtype=np.int64)
-            for p in range(max_priority + 1):
-                if p % 2:
-                    following = ends[(p + 1) // 2 - 1]
-                    table[p] = np.where(following < states, following, -1)
-                else:
-                    table[p] = starts[p // 2]
-        by_state = np.ascontiguousarray(table[np.asarray(colors, dtype=np.intp)].T)
-        return lambda qs: by_state[qs]
+        colors = list(colors)
+        # a level's node starts, then -1 for the node past the last one
+        bounds = {p >> 1: np.append(tree.levels[p >> 1], -1) for p in colors if p > 1}
+
+        def rows(qs) -> np.ndarray:
+            qs = np.asarray(qs, dtype=np.int64)
+            # per level, the index of each state's ancestor
+            node = {level: np.searchsorted(b[:-1], qs, "right") - 1 for level, b in bounds.items()}
+            out = np.empty((len(qs), len(colors)), dtype=np.int64)
+            for i, p in enumerate(colors):
+                if p > 1:
+                    out[:, i] = bounds[p >> 1][node[p >> 1] + (p & 1)]
+                else:  # the leaf itself, or the next leaf
+                    out[:, i] = np.where(qs + p < states, qs + p, -1)
+            return out
+
+        return rows
 
     return SafetyAutomaton(
         state_count=states,

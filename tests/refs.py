@@ -328,12 +328,45 @@ def tree_embeds(t, u, height: int) -> bool:
 
 
 def universal_tree_as_nested(tree):
-    """Nested-tuple view of a UniversalTree's node structure."""
+    """Nested-tuple view of a UniversalTree, read off its per-level node
+    starts: a node's children are the nodes one level down that start
+    inside its leaves."""
 
-    def conv(node):
-        return tuple(conv(c) for c in node.children)
+    def node(level, first, end):
+        if level == 0:
+            return ()
+        bounds = [s for s in tree.levels[level - 1] if first <= s < end] + [end]
+        return tuple(node(level - 1, a, b) for a, b in zip(bounds, bounds[1:]))
 
-    return conv(tree.root) if tree.root is not None else None
+    return node(tree.height, 0, tree.leaf_count) if tree.leaf_count else None
+
+
+def universal_tree_nested(n: int, h: int):
+    """The halving construction on nested tuples (() = leaf), None when
+    empty: the root's children are those of the tree for n // 2, the tree
+    for height h - 1, then those of the tree for n - 1 - n // 2."""
+    if n <= 0:
+        return None
+    if h == 0:
+        return ()
+    left = universal_tree_nested(n // 2, h) if n // 2 else ()
+    right = universal_tree_nested(n - 1 - n // 2, h) if n - 1 - n // 2 else ()
+    return left + (universal_tree_nested(n, h - 1),) + right
+
+
+def nested_span_table(u, height: int):
+    """For each leaf of a nested tree, left to right, the (first leaf, leaf
+    count) of its ancestors at levels 0..height."""
+
+    def walk(node, level, first):
+        if level == 0:
+            return [[(first, 1)]]
+        rows = []
+        for child in node:
+            rows += walk(child, level - 1, first + len(rows))
+        return [row + [(first, len(rows))] for row in rows]
+
+    return walk(u, height, 0) if u is not None else []
 
 
 # ---------------------------------------------------------------------------

@@ -297,6 +297,18 @@ def test_disjmp_state_counts():
                 )
 
 
+def test_disjmp_builds_one_counter_per_distinct_size(monkeypatch):
+    from sepgames import combos
+
+    sizes = []
+    build = combos.mp_separator
+    monkeypatch.setattr(combos, "mp_separator", lambda k, big_n: sizes.append(k) or build(k, big_n))
+    for n, d in [(1, 1), (6, 2), (10, 3)]:
+        sizes.clear()
+        disjmp_separator(n, d, 2)
+        assert sorted(sizes) == sorted(set(universal_sequence(n)))
+
+
 def test_disjmp_rejects_empty():
     with pytest.raises(InvalidGameError):
         disjmp_separator(0, 2, 1)

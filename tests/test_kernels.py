@@ -111,18 +111,20 @@ def test_pre_table_is_the_last_state_at_or_below_each_rank():
                 assert pre[i * (nq + 1) + t + 1] == expected
 
 
-def test_parity_kernel_table_is_built_on_first_call_only(monkeypatch):
-    # the leaf table is a cost of the flat path, never of construction
-    from sepgames.separators import UniversalTree
+def test_parity_tree_levels_are_built_on_first_query_only(monkeypatch):
+    # the tree's arrays are a cost of the first query, never of construction
+    from sepgames import separators
 
     calls = []
-    span_table = UniversalTree.span_table
-    monkeypatch.setattr(UniversalTree, "span_table", lambda t: calls.append(t) or span_table(t))
+    node_starts = separators._node_starts
+    monkeypatch.setattr(separators, "_node_starts", lambda n, h: calls.append((n, h)) or node_starts(n, h))
+    assert parity_separator(10**6, 20).state_count == 5_119_738_089_749
     aut = parity_separator(40, 8)
     assert calls == []
     aut.row_kernel([0, 3])
     aut.row_kernel([8])
-    assert len(calls) == 1
+    aut.delta(0, 3)
+    assert calls == [(40, 4)]
 
 
 @pytest.mark.parametrize(

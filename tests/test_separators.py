@@ -56,13 +56,35 @@ def test_ancestor_span_degenerate_levels():
 
 @pytest.mark.parametrize("n,h", [(0, 2), (1, 0), (1, 3), (4, 2), (9, 3), (30, 4)])
 def test_span_table_matches_ancestor_span(n, h):
+    # the span table of the independent nested construction
     t = universal_tree(n, h)
-    starts, ends = t.span_table()
-    assert starts.shape == ends.shape == (h + 1, t.leaf_count)
-    for i in range(t.leaf_count):
-        for level in range(h + 1):
-            start, count = t.ancestor_span(i, level)
-            assert (starts[level, i], ends[level, i]) == (start, start + count)
+    table = refs.nested_span_table(refs.universal_tree_nested(n, h), h)
+    assert len(table) == t.leaf_count
+    for i, spans in enumerate(table):
+        assert [t.ancestor_span(i, level) for level in range(h + 1)] == spans
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_tree_levels_match_nested_construction(n):
+    for h in range(5):
+        assert refs.universal_tree_as_nested(universal_tree(n, h)) == refs.universal_tree_nested(n, h)
+
+
+def test_tree_addresses_out_of_range_are_rejected():
+    t = universal_tree(4, 2)  # the root's four children have 1, 2, 4 and 1 leaves
+    assert t.leaf_index((2, 3)) == 6
+    bad = [(), (0,), (0, 0, 0), (4, 0), (-1, 0), (0, 1), (1, 2), (2, 4), (3, 1), (2, -1)]
+    for address in bad:
+        with pytest.raises(InvalidGameError):
+            t.leaf_index(address)
+    for index, level in [(-1, 0), (t.leaf_count, 0), (0, -1), (0, t.height + 1)]:
+        with pytest.raises(InvalidGameError):
+            t.ancestor_span(index, level)
+    for index in (-1, t.leaf_count):
+        with pytest.raises(InvalidGameError):
+            t.leaf_tuple(index)
+    with pytest.raises(InvalidGameError):
+        universal_tree(0, 2).leaf_index((0, 0))
 
 
 @pytest.mark.parametrize("n,h", [(n, h) for n in range(1, 6) for h in range(1, 4)])
@@ -103,6 +125,14 @@ def test_parity_zero_is_identity_and_top_even_resets():
     for q in range(aut.state_count):
         assert aut.delta(q, 0) == q
         assert aut.delta(q, 4) == 0
+
+
+def test_parity_delta_rejects_states_and_levels_out_of_range():
+    aut = parity_separator(4, 4)  # height 2: priorities up to 5 have a level
+    assert aut.delta(aut.state_count - 1, 5) is None
+    for q, p in [(-1, 0), (aut.state_count, 2), (0, -1), (0, 6)]:
+        with pytest.raises(InvalidGameError):
+            aut.delta(q, p)
 
 
 def test_parity_state_count_is_leaf_count():
