@@ -6,33 +6,42 @@ generated families (tree-walking parity automata, bounded counters, their
 sequential chains) expose ``delta`` as a computed function rather than a
 table.  Each family also has a vectorized ``row_kernel`` that evaluates
 ``delta`` for whole arrays of states at once (the parity one by searching
-the universal tree's per-level node starts); the lifts and the flat product
-below fill their states x colors transition table with it in one pass.
+the universal tree's per-level node starts); the solve routes below fill
+their states x colors transition tables with it in one pass.
 
-Solving a game through a separating automaton fills that table once, on
+Solving a game through a separating automaton fills a transition table on
 the game's colors, with ``state_count`` where ``delta`` is undefined: the
 losing sink, above every state in every order.  The table is renumbered
 into Eve's order of the states (the automaton's ``rank``; leaf order for
-parity, counters from the top down), and the game is restricted to the
-cone of the roots (``_cone_game``).  Both routes read that one table, and
-its inverse per color (``_preimages``); ``_solve_roots`` picks the route by
-the table alone:
+parity, counters from the top down).  ``_solve_roots`` picks one of three
+routes by the automaton's parts and the table alone:
 
+* cascade: when the automaton is a parity-or-mean-payoff separator
+  (``cascade`` holds its parity part P and its counter) and P's table is
+  monotone.  The accumulated priority and the counter form a key automaton
+  K that moves whatever P's state is, and P moves only on a counter reset,
+  reading the accumulated priority.  So the chained game is (G x K) x P:
+  the key product G x K is explored breadth-first, integer-coded, from the
+  roots, its edges labelled with the letter P reads ("stay" when there is
+  no reset), and solved by the lifts over P.  Neither the whole automaton's
+  table nor its product is built.
 * lifts: when ``delta`` is monotone in Eve's order, value iteration keeps
-  one threshold rank per game vertex and never builds the product; its
-  ``pre`` table is read off the inverse's offsets, and memory is
-  O(states x colors + edges).
+  one threshold rank per game vertex of the roots' cone (``_cone_game``)
+  and never builds the product; its ``pre`` table is read off the table's
+  preimage counts, and memory is O(states x colors + edges).
 * product: otherwise, Adam's attractor on the integer-coded product of the
   roots' cone with every state and the sink (``_solve_flat``).  It neither
   explores the product nor stores its edges: the safety solver's attractor
   (``safety._drain``) generates predecessors level by level from the
-  game's edges by target and the inverse, and each code holds one int32
-  counter; memory is O(cone vertices x states + states x colors).
+  game's edges by target and the table's inverse per color
+  (``_preimages``), and each code holds one int32 counter; memory is
+  O(cone vertices x states + states x colors).  It is the fallback for
+  automata with neither an order nor a cascade, and the cross-check.
 
-Both compute the winning region of the same chained safety game.  The one
-product exploration is ``_walk``, a lazy depth-first walk from the roots
-with one scalar ``delta`` call per product edge and no table: it answers
-``accepts_all_paths`` up to the first undefined transition, builds
+All three compute the winning region of the same chained safety game.  The
+one product exploration is ``_walk``, a lazy depth-first walk from the
+roots with one scalar ``delta`` call per product edge and no table: it
+answers ``accepts_all_paths`` up to the first undefined transition, builds
 ``chained_game`` as objects for inspection and DOT export, and sizes the
 product for ``separators.separator_stats``.
 """
@@ -103,6 +112,10 @@ class SafetyAutomaton:
     of k states to the (k, len(colors)) int array of their successors, -1
     where ``delta`` is undefined.  ``rank`` is Eve's order of the states, a
     permutation with lower ranks no worse for her; ``None`` is state order.
+    ``cascade`` is set by ``combos.parity_mp_separator`` alone: its parity
+    automaton and its counter, the parts its states (accumulated priority,
+    parity state, counter state) are made of, which the solver reads
+    instead of ``delta`` (see ``_solve_cascade``).
     """
 
     state_count: int
@@ -114,6 +127,7 @@ class SafetyAutomaton:
     state_label: Optional[Callable[[int], str]] = None
     row_kernel: Optional[RowKernel] = None
     rank: Optional[np.ndarray] = None
+    cascade: Optional[tuple] = None
 
     def __post_init__(self) -> None:
         if self.state_count < 1:
@@ -123,6 +137,10 @@ class SafetyAutomaton:
         rank, nq = self.rank, self.state_count
         if rank is not None and not (np.shape(rank) == (nq,) and np.array_equal(np.sort(rank), np.arange(nq))):
             raise InvalidGameError("rank must be a permutation of the states")
+        if self.cascade is not None:
+            parity, counter = self.cascade
+            if nq != (parity.alphabet.max_priority + 1) * parity.state_count * counter.state_count:
+                raise InvalidGameError("a cascade's parts must make up the states")
 
     def label(self, q: int) -> str:
         return self.state_label(q) if self.state_label else str(q)
@@ -421,31 +439,41 @@ def _transition_table(aut: SafetyAutomaton, colors: Sequence[Color]) -> np.ndarr
     return table
 
 
+def _edges_by_source(g: Graph):
+    """The graph's distinct colors (``_game_colors``), and its edges sorted
+    stably by source: CSR offsets per vertex, then int64 arrays of sources,
+    targets and color indices."""
+    colors = _game_colors(g)
+    cid = {c: i for i, c in enumerate(colors)}
+    order = np.argsort(g._src_array, kind="stable")
+    col = np.fromiter((cid[g.edges[i][1]] for i in order), dtype=np.int64, count=len(order))
+    ptr = np.zeros(g.vertex_count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(g._src_array, minlength=g.vertex_count), out=ptr[1:])
+    return colors, ptr, g._src_array[order], g._dst_array[order], col
+
+
+def _eve_mask(game: Game) -> np.ndarray:
+    return np.fromiter((o is EVE for o in game.owner), dtype=bool, count=game.vertex_count)
+
+
 def _cone_game(game: Game, aut: SafetyAutomaton, roots: Sequence[int], table=None):
-    """What both routes solve: the game restricted to the cone of ``roots``
-    (the vertices reachable from them, renumbered densely in vertex order)
-    and the ranked transition table on the game's colors (``_ranked``),
-    filled here when not given.
+    """What the lifts and the product route solve: the game restricted to
+    the cone of ``roots`` (the vertices reachable from them, renumbered
+    densely in vertex order) and the ranked transition table on the game's
+    colors (``_ranked``), filled here when not given.
 
     Returns (table, the initial state's rank, the roots' cone ids, Eve's
     cone vertices as a bool mask, and the cone's edges sorted stably by
     source as int64 arrays of sources, targets and color indices).
     """
-    g = game.graph
-    colors = _game_colors(g)
+    colors, ptr, src, dst, col = _edges_by_source(game.graph)
     if table is None:
-        table = _ranked(_transition_table(aut, colors), aut.rank)
-    cid = {c: i for i, c in enumerate(colors)}
-    order = np.argsort(g._src_array, kind="stable")
-    src, dst = g._src_array[order], g._dst_array[order]
-    col = np.fromiter((cid[g.edges[i][1]] for i in order), dtype=np.int64, count=len(order))
-    ptr = np.zeros(g.vertex_count + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=g.vertex_count), out=ptr[1:])
+        table = _ranked_table(aut, colors)
     inside = _cone(ptr, dst, roots)
     index = np.cumsum(inside) - 1
     keep = inside[src]
-    eve = np.fromiter((o is EVE for o in game.owner), dtype=bool, count=g.vertex_count)[inside]
-    initial = aut.initial if aut.rank is None else int(aut.rank[aut.initial])
+    eve = _eve_mask(game)[inside]
+    initial = _initial_rank(aut)
     root_ids = index[np.asarray(roots, dtype=np.int64)]
     return table, initial, root_ids, eve, index[src[keep]], index[dst[keep]], col[keep]
 
@@ -517,10 +545,22 @@ def _preimages(table: np.ndarray):
 
 
 def _solve_lifts(game: Game, aut: SafetyAutomaton, roots: Sequence[int], table=None):
-    """Solve the chained game by value iteration, without building the
-    product.  Valid only when ``delta`` is monotone in the automaton's rank
-    order on the game's colors (see ``_is_monotone``); ``table`` is its
-    ranked transition table on them (``_cone_game``), filled when not given.
+    """Solve the chained game by value iteration (``_lift``) on the roots'
+    cone, without building the product.  Valid only when ``delta`` is
+    monotone in the automaton's rank order on the game's colors (see
+    ``_is_monotone``); ``table`` is its ranked transition table on them
+    (``_cone_game``), filled when not given.  Returns (per-root win flags,
+    stats dict)."""
+    table, initial, root_ids, eve, src, dst, cid = _cone_game(game, aut, roots, table)
+    nq = aut.state_count
+    wins, lifts = _lift(eve, src, dst, cid, root_ids, _pre_table(table), nq, initial)
+    return wins, {"path": "lifts", "automaton_states": nq, "vertex_lifts": lifts}
+
+
+def _lift(eve, src, dst, cid, root_ids, pre: np.ndarray, nq: int, initial: int):
+    """Value iteration on a game of ``eve.size`` vertices (Eve's as a bool
+    mask) with edges ``src -> dst`` labelled by letter indices ``cid``, for
+    an automaton of ``nq`` states whose table is monotone in its rank order.
 
     Since a lower rank is then never worse for Eve, the states from which
     she wins at vertex v are those ranked up to a threshold ``t[v]`` (-1
@@ -529,18 +569,17 @@ def _solve_lifts(game: Game, aut: SafetyAutomaton, roots: Sequence[int], table=N
         t[v] = max (Eve) or min (Adam) over edges (v, c, w) of pre(c, t[w]),
 
     where ``pre(c, t)`` is the largest rank r with ``delta(r, c) <= t``, or
-    -1 (``_pre_table``).  Iteration starts with every threshold at the last
-    rank and Eve-owned sinks at -1, and lifts the vertices of the roots'
-    cone one at a time from a LIFO worklist, which gets a vertex back
-    whenever one of its successors drops.  Returns (per-root win flags,
-    stats dict).
+    -1, read from ``pre[c * (nq + 1) + t + 1]`` (``_pre_table``).
+    Iteration starts with every threshold at the last rank and Eve-owned
+    sinks at -1, and lifts the vertices one at a time from a LIFO worklist,
+    which gets a vertex back whenever one of its successors drops.  Returns
+    (whether the rank ``initial`` is within the threshold of each of
+    ``root_ids``, the number of vertex lifts).
     """
-    table, initial, root_ids, eve, src, dst, cid = _cone_game(game, aut, roots, table)
-    nq = aut.state_count
     n = eve.size
-    lookup = memoryview(_pre_table(table))  # indexes as Python ints, without a copy
+    lookup = memoryview(pre)  # indexes as Python ints, without a copy
 
-    # each edge as (its color's offset into the pre table, target)
+    # each edge as (its letter's offset into the pre table, target)
     sources = src.tolist()
     outs: list = [[] for _ in range(n)]
     preds: list = [[] for _ in range(n)]
@@ -571,8 +610,97 @@ def _solve_lifts(game: Game, aut: SafetyAutomaton, roots: Sequence[int], table=N
                     queued[u] = 1
                     pending.append(u)
 
-    wins = [initial <= level[v] for v in root_ids.tolist()]
-    stats = {"path": "lifts", "automaton_states": nq, "vertex_lifts": lifts}
+    return [initial <= level[v] for v in root_ids.tolist()], lifts
+
+
+def _key_table(counter: SafetyAutomaton, max_priority: int, colors: Sequence[Color]):
+    """The key automaton of a parity-or-mean-payoff separator on the game's
+    colors: keys ``m * counter states + q`` for the accumulated priority m
+    in [0, max_priority] and the counter state q.  On (p, w) the counter
+    reads w (``_transition_table``); if it moves to t, the key goes to
+    (max(m, p), t) and the parity part stays, otherwise the key resets to
+    (0, counter initial) and the parity part reads max(m, p).
+
+    Returns two int64 keys x colors tables: the next key, and the letter the
+    parity part reads, ``max_priority + 1`` for "stay".
+    """
+    nc = counter.state_count
+    weights = list(dict.fromkeys(w for _, w in colors))
+    at = {w: i for i, w in enumerate(weights)}
+    moved = _transition_table(counter, weights)[:, [at[w] for _, w in colors]]
+    priorities = np.array([p for p, _ in colors], dtype=np.int64)
+    acc = np.maximum(np.arange(max_priority + 1)[:, None], priorities)[:, None]
+    kept = moved < nc
+    keys = np.where(kept, acc * nc + moved, counter.initial)
+    letters = np.where(kept, max_priority + 1, acc)
+    shape = ((max_priority + 1) * nc, len(colors))
+    return keys.reshape(shape), letters.reshape(shape)
+
+
+def _key_product(ptr, dst, col, keys, letters, starts):
+    """Breadth-first exploration of the product of a game (edges by source:
+    CSR ``ptr``, targets ``dst``, color indices ``col``) with a total
+    deterministic automaton (``keys``: next state per state and color),
+    coded ``v * key count + k``, from the ``starts`` codes.  Ids follow the
+    discovery order.  Returns (the codes in id order, the edges as int64
+    arrays of source ids, target ids and ``letters`` read off each edge,
+    and the starts' ids)."""
+    nk = keys.shape[0]
+    ids = np.full((len(ptr) - 1) * nk, -1, dtype=np.int32)
+    frontier = np.unique(starts)
+    ids[frontier] = np.arange(frontier.size)
+    none = np.zeros(0, dtype=np.int64)
+    found, srcs, dsts, reads = [frontier], [none], [none], [none]
+    first = 0
+    while frontier.size:
+        v, k = np.divmod(frontier, nk)
+        lens = ptr[v + 1] - ptr[v]
+        e = _slices(ptr[v], lens, int(lens.sum()))
+        k, c = np.repeat(k, lens), col[e]
+        target = dst[e] * nk + keys[k, c]
+        fresh = np.unique(target[ids[target] < 0])
+        last = first + frontier.size
+        ids[fresh] = np.arange(last, last + fresh.size)
+        srcs.append(np.repeat(np.arange(first, last), lens))
+        dsts.append(ids[target].astype(np.int64))
+        reads.append(letters[k, c])
+        found.append(fresh)
+        frontier, first = fresh, last
+    cat = np.concatenate
+    return cat(found), cat(srcs), cat(dsts), cat(reads), ids[starts].astype(np.int64)
+
+
+def _solve_cascade(game: Game, aut: SafetyAutomaton, roots: Sequence[int], table=None):
+    """Solve the chained game of a parity-or-mean-payoff separator as (G x
+    K) x P: the lifts (``_lift``) over its parity part P, on the key product
+    G x K (``_key_table``, ``_key_product``).  ``table`` is P's ranked
+    transition table on the priorities, monotone, filled when not given.
+
+    A key-product edge reads a priority where the counter resets and
+    "stay" elsewhere, an identity column appended to P's ``pre`` table, so
+    nothing assumes which priority P's identity is.  From (v, initial) the
+    automaton is at key (0, counter initial) and P's initial state, so a
+    root wins when P's initial rank is within the threshold of its
+    key-product code.  Returns (per-root win flags, stats dict).
+    """
+    parity, counter = aut.cascade
+    d, nq = parity.alphabet.max_priority, parity.state_count
+    if table is None:
+        table = _ranked_table(parity, range(d + 1))
+    colors, ptr, _, dst, col = _edges_by_source(game.graph)
+    keys, letters = _key_table(counter, d, colors)
+    nk = keys.shape[0]
+    starts = np.asarray(roots, dtype=np.int64) * nk + counter.initial
+    codes, src, kdst, read, root_ids = _key_product(ptr, dst, col, keys, letters, starts)
+    pre = np.concatenate((_pre_table(table), np.arange(-1, nq, dtype=np.int32)))
+    wins, lifts = _lift(_eve_mask(game)[codes // nk], src, kdst, read, root_ids, pre, nq, _initial_rank(parity))
+    stats = {
+        "path": "cascade",
+        "automaton_states": aut.state_count,
+        "key_states": nk,
+        "key_product_states": codes.size,
+        "vertex_lifts": lifts,
+    }
     return wins, stats
 
 
@@ -609,17 +737,30 @@ def _ranked(table: np.ndarray, rank: Optional[np.ndarray]) -> np.ndarray:
     return np.append(rank, len(rank)).astype(np.int32)[table[np.argsort(rank)]]
 
 
+def _ranked_table(aut: SafetyAutomaton, colors: Sequence[Color]) -> np.ndarray:
+    """The transition table on ``colors`` (``_transition_table``) in the
+    automaton's rank order (``_ranked``)."""
+    return _ranked(_transition_table(aut, colors), aut.rank)
+
+
+def _initial_rank(aut: SafetyAutomaton) -> int:
+    return aut.initial if aut.rank is None else int(aut.rank[aut.initial])
+
+
 def _pre_table(table: np.ndarray) -> np.ndarray:
     """``pre(c, t)`` of a monotone transition table: the largest state q with
     ``table[q, c] <= t`` (-1 if none), for the i-th color c and every t in
     [-1, nq), as an int32 array indexed ``i * (nq + 1) + t + 1``.  The
     states with ``table[q, c] <= t`` are a prefix, so ``pre(c, t)`` is their
-    number - 1: the preimage offset of group ``i * (nq + 1) + t + 1``
-    (``_preimage_ptr``) less the i * nq entries of the earlier colors, - 1."""
+    number - 1, a running count of the column's values; filled one color at
+    a time."""
     nq, ncol = table.shape
-    pre = _preimage_ptr(table)[:-1].reshape(ncol, nq + 1)
-    pre -= np.arange(ncol, dtype=np.int64)[:, None] * nq + 1
-    return pre.astype(np.int32).ravel()
+    pre = np.empty((ncol, nq + 1), dtype=np.int32)
+    pre[:, 0] = -1
+    for i, column in enumerate(table.T):
+        np.cumsum(np.bincount(column, minlength=nq + 1)[:nq], out=pre[i, 1:])
+        pre[i, 1:] -= 1
+    return pre.ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -631,12 +772,18 @@ def _solve_roots(game: Game, aut: SafetyAutomaton, roots: Sequence[int]):
     """Does Eve win the chained game from ``(v, initial)``, for each root v?
     Returns (per-root win flags, stats dict naming the route in ``path``).
 
-    The transition table on the game's colors is filled and ranked once,
-    and handed to either route: lifts if it is monotone, otherwise the flat
-    product.
+    A cascade whose parity part has a monotone ranked table is solved as
+    one (``_solve_cascade``).  Otherwise the automaton's transition table
+    on the game's colors is filled and ranked once, and handed to either
+    route: lifts if it is monotone, otherwise the flat product.
     """
     _check_alphabet(game, aut)
-    table = _ranked(_transition_table(aut, _game_colors(game.graph)), aut.rank)
+    if aut.cascade is not None:
+        parity = aut.cascade[0]
+        table = _ranked_table(parity, range(parity.alphabet.max_priority + 1))
+        if _is_monotone(table):
+            return _solve_cascade(game, aut, roots, table)
+    table = _ranked_table(aut, _game_colors(game.graph))
     solve = _solve_lifts if _is_monotone(table) else _solve_flat
     return solve(game, aut, roots, table)
 

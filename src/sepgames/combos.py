@@ -6,6 +6,10 @@ Two assemblies, both treating the atomic automata as black boxes:
   the largest priority seen since the last reset; when the counter rejects,
   feed that priority to the parity automaton and restart the counter.  The
   whole thing rejects only when the parity automaton rejects during a reset.
+  The accumulator and the counter form a key automaton that moves on its
+  own, and the parity automaton moves only on a reset, so the separator
+  keeps both parts and is solved as a cascade: the game's product with the
+  keys, then value iteration over the parity automaton's leaves.
 
 * disjunction of mean payoffs: a component automaton good for strongly
   connected graphs (one bounded counter per weight component, chained) is
@@ -61,7 +65,10 @@ def parity_mp_separator(parity_aut: SafetyAutomaton, mp_aut: SafetyAutomaton) ->
     maximum priority seen so far, matching how runs decompose.
 
     The row kernel is composed from the two automata's row kernels the same
-    way, and exists only if both have one.
+    way, and exists only if both have one.  The two automata are kept as
+    the result's ``cascade``: the accumulator and the counter move whatever
+    the parity state is, so the solver reads the parts instead of the
+    product's table (``automaton._solve_cascade``).
     """
     if not isinstance(parity_aut.alphabet, Parity):
         raise AlphabetMismatchError(f"expected a priority alphabet, got {parity_aut.alphabet!r}")
@@ -115,6 +122,7 @@ def parity_mp_separator(parity_aut: SafetyAutomaton, mp_aut: SafetyAutomaton) ->
         delta=delta,
         state_label=state_label,
         row_kernel=row_kernel if parity_aut.row_kernel and mp_aut.row_kernel else None,
+        cascade=(parity_aut, mp_aut),
     )
 
 

@@ -48,19 +48,30 @@ def _leaf_count(n: int, h: int) -> int:
 def _node_starts(n: int, h: int) -> tuple:
     """First leaves of the nodes of levels 1..h of the tree for capacity n and
     height h, one sorted read-only int64 memoryview per level (bisect reads
-    Python ints from it, numpy reads it without a copy): level l of the
-    tree is level l of the tree for n // 2, then level l of the tree for
-    height h - 1, then level l of the tree for n - 1 - n // 2, each shifted
-    past the leaves before it; level h is the root alone."""
-    if n <= 0:
-        return (memoryview(np.zeros(0, dtype=np.int64)).toreadonly(),) * h
-    if h == 0:
-        return ()
-    left, middle, right = _node_starts(n // 2, h), _node_starts(n, h - 1), _node_starts(n - 1 - n // 2, h)
-    shift = _leaf_count(n // 2, h)
-    past = shift + _leaf_count(n, h - 1)
-    levels = [np.concatenate((a, np.add(b, shift), np.add(c, past))) for a, b, c in zip(left, middle, right)]
-    return tuple(memoryview(s).toreadonly() for s in levels + [np.zeros(1, dtype=np.int64)])
+    Python ints from it, numpy reads it without a copy).  Memoized for the
+    trees asked for only: the subtrees that ``_level_starts`` visits share a
+    memo that lives for one build."""
+    return tuple(memoryview(s).toreadonly() for s in _level_starts(n, h, {}))
+
+
+def _level_starts(n: int, h: int, memo: dict) -> list:
+    """``_node_starts`` as int64 arrays, by halving: level l of the tree is
+    level l of the tree for n // 2, then level l of the tree for height
+    h - 1, then level l of the tree for n - 1 - n // 2, each shifted past
+    the leaves before it; level h is the root alone."""
+    if (n, h) not in memo:
+        if n <= 0:
+            levels = [np.zeros(0, dtype=np.int64)] * h
+        elif h == 0:
+            levels = []
+        else:
+            left, middle, right = (_level_starts(*key, memo) for key in ((n // 2, h), (n, h - 1), (n - 1 - n // 2, h)))
+            shift = _leaf_count(n // 2, h)
+            past = shift + _leaf_count(n, h - 1)
+            levels = [np.concatenate((a, b + shift, c + past)) for a, b, c in zip(left, middle, right)]
+            levels.append(np.zeros(1, dtype=np.int64))
+        memo[n, h] = levels
+    return memo[n, h]
 
 
 @dataclass(frozen=True, eq=False)

@@ -31,7 +31,7 @@ from sepgames import (
     solve_safety,
     solve_via_separating,
 )
-from sepgames.automaton import _preimages, _solve_flat, _solve_lifts, _transition_table
+from sepgames.automaton import _preimages, _solve_cascade, _solve_flat, _solve_lifts, _transition_table
 from sepgames.frontend import build_separator, generate_game
 
 
@@ -590,20 +590,24 @@ def test_lifts_solve_only_the_cone_of_the_roots():
 def test_route_follows_size_and_monotonicity():
     from sepgames import MeanPayoffDisjunction, Parity, ParityOrMeanPayoff
 
-    # one rule at every size: lifts when the table is monotone in the
-    # automaton's rank order, the product otherwise; counters rank from the
-    # top down, so mean payoff and its disjunctions take lifts too
+    # one rule at every size: parity-mp as a cascade, lifts when the table
+    # is monotone in the automaton's rank order, the product otherwise;
+    # counters rank from the top down, so mean payoff and its disjunctions
+    # take lifts too, and parity-mp without its cascade parts the product
     cases = (
         (Parity(4), 5, "lifts"),
         (Parity(8), 60, "lifts"),
         (MeanPayoffDisjunction(2, 2), 5, "lifts"),
         (MeanPayoffDisjunction(2, 2), 80, "lifts"),
-        (ParityOrMeanPayoff(3, 2), 5, "product"),
+        (ParityOrMeanPayoff(3, 2), 5, "cascade"),
+        (ParityOrMeanPayoff(4, 2), 12, "cascade"),
         (ParityOrMeanPayoff(4, 2), 12, "product"),
     )
     for objective, n, path in cases:
         game = generate_game(n, 1, 3, objective, seed=738)
         aut = build_separator(objective, n)
+        if path == "product":
+            aut = dataclasses.replace(aut, cascade=None)
         region, stats = separating_winning_region(game, aut, with_stats=True)
         assert stats["path"] == path
         assert solve_via_separating(game, 0, aut) == (0 in region)
@@ -618,6 +622,101 @@ def test_route_follows_size_and_monotonicity():
         region, stats = separating_winning_region(game, aut, with_stats=True)
         assert stats["path"] == "lifts"
         assert region == _flags_region(_solve_flat(game, aut, list(range(n)))[0])
+
+
+def test_cascade_matches_flat_product_and_chained_game():
+    # about 300 random parity-mp games, weight bound 0 included, with dead
+    # ends of both owners and an edgeless game: the cascade from all roots
+    # and from each root alone against the product route and against the
+    # safety solver on the product chained_game builds with ``delta``; an
+    # empty root list reaches nothing
+    from conftest import random_objective
+    from sepgames import ParityOrMeanPayoff
+
+    rng = random.Random(746)
+    games = [Game(Graph(3, ()), (EVE, ADAM, EVE), ParityOrMeanPayoff(2, 1))]
+    for _ in range(300):
+        objective = random_objective(rng, "parity-mp")
+        n = rng.randint(1, 9)
+        games.append(generate_game(n, rng.choice((0, 1, 1)), 3, objective, seed=rng.randrange(10**9)))
+    dead_ends, bounds = set(), set()
+    for game in games:
+        n = game.vertex_count
+        aut = build_separator(game.objective, n)
+        flags, stats = _solve_cascade(game, aut, list(range(n)))
+        assert stats["path"] == "cascade" and stats["automaton_states"] == aut.state_count
+        assert stats["key_product_states"] <= n * stats["key_states"]
+        assert list(map(bool, flags)) == list(map(bool, _solve_flat(game, aut, list(range(n)))[0]))
+        # repeated roots, in any order, and none
+        assert _solve_cascade(game, aut, [n - 1, 0, n - 1])[0] == [flags[n - 1], flags[0], flags[n - 1]]
+        assert _solve_cascade(game, aut, [])[0] == []
+        for v in range(n):
+            single, single_stats = _solve_cascade(game, aut, [v])
+            chain = chained_game(game, aut, v)
+            won = chain.product_vertex(v, aut.initial) in solve_safety(chain.game).eve_wins
+            assert bool(single[0]) == bool(flags[v]) == bool(_solve_flat(game, aut, [v])[0][0]) == won
+            assert single_stats["key_product_states"] <= stats["key_product_states"]
+        dead_ends |= {game.owner[v] for v in range(n) if not game.graph.successors[v]}
+        bounds.add(game.objective.weight_bound)
+    assert dead_ends == {EVE, ADAM} and 0 in bounds
+
+
+def test_cascade_reads_any_parity_part_and_falls_back_without_order():
+    # the cascade treats the parity part as a black box: a part whose table
+    # is not monotone sends the solve to the product route, and a ranked
+    # one is read in its rank order
+    from sepgames import Parity, ParityOrMeanPayoff, parity_mp_separator, parity_separator
+
+    rng = random.Random(747)
+    seen = set()
+    for _ in range(30):
+        n = rng.randint(2, 6)
+        objective = ParityOrMeanPayoff(2, 1)
+        game = generate_game(n, 0, 3, objective, seed=rng.randrange(10**9))
+        table = {(q, p): rng.randrange(3) for q in range(3) for p in range(3) if rng.random() < 0.8}
+        scrambled = SafetyAutomaton(3, 0, Parity(2), lambda q, p, table=table: table.get((q, p)))
+        base = parity_separator(n, 2)
+        reversed_order = dataclasses.replace(
+            base,
+            initial=base.state_count - 1,
+            delta=lambda q, p, k=base.state_count - 1: None if (t := base.delta(k - q, p)) is None else k - t,
+            row_kernel=None,
+            rank=np.arange(base.state_count)[::-1].copy(),
+        )
+        for parity in (scrambled, reversed_order):
+            aut = parity_mp_separator(parity, mp_separator(n, 1))
+            region, stats = separating_winning_region(game, aut, with_stats=True)
+            seen.add(stats["path"])
+            for v in range(n):
+                chain = chained_game(game, aut, v)
+                won = chain.product_vertex(v, aut.initial) in solve_safety(chain.game).eve_wins
+                assert (v in region) == won
+    assert seen == {"cascade", "product"}
+
+
+def test_cascade_key_product_of_the_benchmark_game():
+    # the parity-mp n=40, d=4, N=2 game the benchmark solves from root 0:
+    # 395 keys (accumulator x counter), 10,989 of whose 15,800 codes with
+    # the game's vertices are reached, against the 72,285 states the
+    # product route would pair with each vertex
+    import hashlib
+    import importlib.util
+    from pathlib import Path
+
+    from sepgames import parse_game
+
+    root = Path(__file__).resolve().parents[1] / "perfbench"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", root / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    text = gen.game_text(random.Random("paritymp-root:0"), 40, (4, 4), "parity-mp", (4, 2))
+    pin = "438b2842785eda4244960291b12a6b4a7b47c6e5f25bc32fc0940d98966c7533"
+    assert hashlib.sha256(text.encode()).hexdigest() == pin
+    game = parse_game(text)
+    aut = build_separator(game.objective, 40)
+    flags, stats = _solve_cascade(game, aut, [0])
+    assert flags == [False]  # the benchmark's pinned verdict: LOSE
+    assert (stats["automaton_states"], stats["key_states"], stats["key_product_states"]) == (72_285, 395, 10_989)
 
 
 def test_parity_1000_vertices_8_priorities_matches_recursive_solver():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib.util
 import io
@@ -35,6 +36,16 @@ vertices 1
 vertex 0 E
 edge 0 0 0
 """
+
+
+def _product_route(patch):
+    """Have ``build_separator`` drop the cascade parts of parity-mp
+    separators, so that their solves take the product route."""
+    from sepgames import frontend
+
+    build, bound = frontend._SEPARATORS[ParityOrMeanPayoff]
+    strip = (lambda o, n: dataclasses.replace(build(o, n), cascade=None), bound)
+    patch.setitem(frontend._SEPARATORS, ParityOrMeanPayoff, strip)
 
 
 def _run_cli(args):
@@ -199,22 +210,31 @@ def test_cli_solve_minimal(tmp_path):
     assert code == 0 and out.strip() == "WIN"
 
 
-def test_cli_solve_region_and_stats(tmp_path):
-    # parity-mp has no monotone order, so the product is built and sized
+def test_cli_solve_region_and_stats(tmp_path, monkeypatch):
+    # parity-mp is solved as a cascade and sized by its key product; without
+    # its cascade parts it takes the product route, sized by the product
     f = tmp_path / "g.game"
     game = generate_game(5, 1, 2, ParityOrMeanPayoff(3, 2), seed=3)
     f.write_text(print_game(game))
-    code, out, _ = _run_cli(
-        ["solve", "--input", str(f), "--from", "0", "--region", "--stats"]
-    )
+    argv = ["solve", "--input", str(f), "--from", "0", "--region", "--stats"]
+    code, out, _ = _run_cli(argv)
     assert code == 0
     lines = out.splitlines()
     assert lines[0] in ("WIN", "LOSE")
     assert lines[1].startswith("region:")
-    assert "path: product" in lines
-    assert any(line.startswith("product_states:") for line in lines)
-    assert any(line.startswith("attracted:") for line in lines)
-    assert not any(line.startswith("product_edges:") for line in lines)
+    assert "path: cascade" in lines
+    keys = [line.split(":")[0] for line in lines[2:]]
+    assert keys == ["path", "automaton_states", "key_states", "key_product_states", "vertex_lifts"]
+    with monkeypatch.context() as patch:
+        _product_route(patch)
+        code, product_out, _ = _run_cli(argv)
+    assert code == 0
+    product_lines = product_out.splitlines()
+    assert product_lines[:2] == lines[:2]
+    assert "path: product" in product_lines
+    assert any(line.startswith("product_states:") for line in product_lines)
+    assert any(line.startswith("attracted:") for line in product_lines)
+    assert not any(line.startswith("product_edges:") for line in product_lines)
 
 
 def test_cli_stats_describe_the_solve_asked_for(tmp_path):
@@ -222,7 +242,7 @@ def test_cli_stats_describe_the_solve_asked_for(tmp_path):
     # from every vertex
     from sepgames.automaton import _solve_roots
 
-    cases = ((Parity(6), 200, "vertex_lifts"), (ParityOrMeanPayoff(3, 2), 6, "attracted"))
+    cases = ((Parity(6), 200, "vertex_lifts"), (ParityOrMeanPayoff(3, 2), 6, "key_product_states"))
     for objective, n, measure in cases:
         game = generate_game(n, 1, 2, objective, seed=3)
         f = tmp_path / "g.game"
@@ -312,14 +332,21 @@ def test_cli_out_of_memory_exit_code(tmp_path, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    # parity-mp takes the product route, disj-mp the lifts; a route that
-    # is not reached would let the solve print its verdict
-    routes = ((ParityOrMeanPayoff(3, 2), "_solve_flat"), (MeanPayoffDisjunction(2, 2), "_solve_lifts"))
-    for objective, route in routes:
+    # parity-mp takes the cascade (the product route without its cascade
+    # parts), disj-mp the lifts; a route that is not reached would let the
+    # solve print its verdict
+    routes = (
+        (ParityOrMeanPayoff(3, 2), "_solve_cascade", False),
+        (ParityOrMeanPayoff(3, 2), "_solve_flat", True),
+        (MeanPayoffDisjunction(2, 2), "_solve_lifts", False),
+    )
+    for objective, route, product in routes:
         game = generate_game(12, 1, 3, objective, seed=4)
         f = tmp_path / "big.game"
         f.write_text(print_game(game))
         with monkeypatch.context() as patch:
+            if product:
+                _product_route(patch)
             patch.setattr(automaton, route, exhausted)
             for extra in ([], ["--region"]):
                 code, out, err = _run_cli(["solve", "--input", str(f), "--from", "0"] + extra)
@@ -422,7 +449,7 @@ def test_cli_bench_small_emits_table():
         assert len(row.split("\t")) == 6
 
 
-def test_benchmark_tracer_installs_and_undoes(tmp_path):
+def test_benchmark_tracer_installs_and_undoes(tmp_path, monkeypatch):
     # perfbench/tracing.py wraps these attributes by name; a rename or a
     # removal would break the traced benchmark run
     from sepgames import automaton, core, frontend, safety
@@ -446,22 +473,29 @@ def test_benchmark_tracer_installs_and_undoes(tmp_path):
     originals = [getattr(owner, attr) for owner, attr in patched]
     f = tmp_path / "min.game"
     f.write_text(MINIMAL)
-    # parity-mp takes the product route
-    product = tmp_path / "product.game"
-    product.write_text(print_game(generate_game(6, 1, 3, ParityOrMeanPayoff(3, 2), seed=4)))
+    # parity-mp is solved as a cascade, and by the product route without
+    # its cascade parts; the tracer's separator keeps the parts
+    pmp = tmp_path / "pmp.game"
+    pmp.write_text(print_game(generate_game(6, 1, 3, ParityOrMeanPayoff(3, 2), seed=4)))
+    solve_pmp = ["solve", "--input", str(pmp), "--from", "0", "--stats"]
     tracer = tracing.Tracer()
     undo = tracing.install(tracer)
     try:
         assert all(getattr(o, a) is not orig for (o, a), orig in zip(patched, originals))
         code, out, _ = _run_cli(["solve", "--input", str(f), "--from", "0", "--region"])
-        product_code, product_out, _ = _run_cli(["solve", "--input", str(product), "--from", "0", "--stats"])
+        cascade_code, cascade_out, _ = _run_cli(solve_pmp)
+        with monkeypatch.context() as patch:
+            _product_route(patch)
+            product_code, product_out, _ = _run_cli(solve_pmp)
         # through the module attributes, as the benchmark's check calls them
         separator = frontend.build_separator(MeanPayoff(1), 2)
         checked = automaton.accepts_all_paths(separator, Graph(2, [(0, 1, 1), (1, -1, 0)]))
     finally:
         undo()
     assert code == 0 and out.splitlines()[0] == "WIN"
+    assert cascade_code == 0 and "path: cascade" in cascade_out.splitlines()
     assert product_code == 0 and "path: product" in product_out.splitlines()
+    assert cascade_out.splitlines()[0] == product_out.splitlines()[0]
     names = {rec[0] for rec in tracer.spans}
     assert {"frontend.parse_game", "frontend.build_separator", "automaton.solve"} <= names
     assert all(getattr(o, a) is orig for (o, a), orig in zip(patched, originals))
@@ -469,9 +503,12 @@ def test_benchmark_tracer_installs_and_undoes(tmp_path):
     # leave the per-layer delta metrics at 0
     checks = [rec for rec in tracer.spans if rec[tracing.NAME] == "automaton.check"]
     assert checked and len(checks) == 1 and checks[0][tracing.LEAF_CALLS] > 0
-    # the product route calls no wrapped attractor; traced, it prints what
-    # it prints untraced
-    assert (product_code, product_out) == _run_cli(["solve", "--input", str(product), "--from", "0", "--stats"])[:2]
+    # neither route calls a wrapped attractor; traced, each prints what it
+    # prints untraced
+    assert (cascade_code, cascade_out) == _run_cli(solve_pmp)[:2]
+    with monkeypatch.context() as patch:
+        _product_route(patch)
+        assert (product_code, product_out) == _run_cli(solve_pmp)[:2]
 
 
 def test_cli_usage_error_exit_code():

@@ -95,12 +95,18 @@ def test_parity_delta_is_monotone_in_leaf_order(n, d):
 
 
 def test_pre_table_is_the_last_state_at_or_below_each_rank():
-    # random monotone tables whose undefined entries (nq) fill a suffix of
-    # each column, against pre(c, t) = max{q : table[q, c] <= t}, or -1
+    # random monotone tables whose undefined entries (nq, the sink) fill a
+    # suffix of each column, of every length from none to the whole column,
+    # against pre(c, t) = max{q : table[q, c] <= t}, or -1
     rng = random.Random(745)
-    shapes = [(1, 0), (3, 0), (1, 1), (1, 3)] + [(rng.randint(1, 12), rng.randint(1, 4)) for _ in range(40)]
+    shapes = [(1, 0), (3, 0), (1, 1), (1, 3)] + [(rng.randint(1, 40), rng.randint(1, 5)) for _ in range(60)]
+    sinks = set()
     for nq, ncol in shapes:
-        columns = [sorted(rng.randrange(nq + 1) for _ in range(nq)) for _ in range(ncol)]
+        columns = []
+        for _ in range(ncol):
+            undefined = rng.choice((0, rng.randint(0, nq), nq))
+            columns.append(sorted(rng.randrange(nq) for _ in range(nq - undefined)) + [nq] * undefined)
+            sinks.add(min(undefined, 2))
         table = np.array(columns, dtype=np.int32).T.reshape(nq, ncol)
         assert _is_monotone(table)
         pre = _pre_table(table)
@@ -109,6 +115,7 @@ def test_pre_table_is_the_last_state_at_or_below_each_rank():
             for t in range(-1, nq):
                 expected = max((q for q in range(nq) if column[q] <= t), default=-1)
                 assert pre[i * (nq + 1) + t + 1] == expected
+    assert sinks == {0, 1, 2}
 
 
 def test_parity_tree_levels_are_built_on_first_query_only(monkeypatch):
@@ -125,6 +132,19 @@ def test_parity_tree_levels_are_built_on_first_query_only(monkeypatch):
     aut.row_kernel([8])
     aut.delta(0, 3)
     assert calls == [(40, 4)]
+
+
+def test_parity_tree_query_caches_its_own_levels_only():
+    # the halving recursion shares its subtrees within one build, and the
+    # process keeps only the levels of the trees asked for, each built once
+    from sepgames import separators, universal_tree
+
+    before = separators._node_starts.cache_info().currsize
+    levels = universal_tree(1234, 3).levels
+    assert separators._node_starts.cache_info().currsize == before + 1
+    again = universal_tree(1234, 3).levels
+    assert all(a is b is c for a, b, c in zip(levels[1:], again[1:], separators._node_starts(1234, 3)))
+    assert separators._node_starts.cache_info().currsize == before + 1
 
 
 @pytest.mark.parametrize(
