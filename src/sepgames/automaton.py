@@ -21,14 +21,14 @@ routes by the automaton's parts and the table alone:
   monotone.  The accumulated priority and the counter form a key automaton
   K that moves whatever P's state is, and P moves only on a counter reset,
   reading the accumulated priority.  So the chained game is (G x K) x P:
-  the key product G x K is explored breadth-first, integer-coded, from the
-  roots, its edges labelled with the letter P reads ("stay" when there is
-  no reset), and solved by the lifts over P.  Neither the whole automaton's
-  table nor its product is built.
+  the key product G x K is explored from the roots (``_cone``), its edges
+  labelled with the letter P reads ("stay" when there is no reset), and
+  solved by the lifts over P.  Neither the whole automaton's table nor its
+  product is built.
 * lifts: when ``delta`` is monotone in Eve's order, value iteration keeps
-  one threshold rank per game vertex of the roots' cone (``_cone_game``)
-  and never builds the product; its ``pre`` table is read off the table's
-  preimage counts, and memory is O(states x colors + edges).
+  one threshold rank per game vertex of the roots' cone and never builds
+  the product; its ``pre`` table is read off the table's preimage counts,
+  and memory is O(states x colors + edges).
 * product: otherwise, Adam's attractor on the integer-coded product of the
   roots' cone with every state and the sink (``_solve_flat``).  It neither
   explores the product nor stores its edges: the safety solver's attractor
@@ -38,12 +38,15 @@ routes by the automaton's parts and the table alone:
   O(cone vertices x states + states x colors).  It is the fallback for
   automata with neither an order nor a cascade, and the cross-check.
 
-All three compute the winning region of the same chained safety game.  The
-one product exploration is ``_walk``, a lazy depth-first walk from the
-roots with one scalar ``delta`` call per product edge and no table: it
-answers ``accepts_all_paths`` up to the first undefined transition, builds
-``chained_game`` as objects for inspection and DOT export, and sizes the
-product for ``separators.separator_stats``.
+All three compute the winning region of the same chained safety game, and
+all three find what the roots reach with one breadth-first exploration,
+``_cone``: of the key product for the cascade, of the game itself (the
+product with a one-key automaton) for the other two.  The one walk of the
+product with the automaton itself is ``_walk``, a lazy depth-first walk
+from the roots with one scalar ``delta`` call per product edge and no
+table: it answers ``accepts_all_paths`` up to the first undefined
+transition, builds ``chained_game`` as objects for inspection and DOT
+export, and sizes the product for ``separators.separator_stats``.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ from .core import (
 # _attract and solve_safety are not called here, but stay module attributes:
 # perfbench/tracing.py replaces both by name on install, and a traced run
 # fails without them
-from .safety import _attract, _drain, _slices, solve_safety  # noqa: F401
+from .safety import _attract, _drain, _eve_mask, _slices, solve_safety  # noqa: F401
 
 __all__ = [
     "SafetyAutomaton",
@@ -90,8 +93,8 @@ __all__ = [
     "chained_game_dot",
 ]
 
-# states per row-kernel call when the flat path fills its transition table;
-# caps the kernels' temporaries at a few (chunk x colors) int64 arrays
+# states per row-kernel call when ``_transition_table`` fills a table; caps
+# the kernels' temporaries at a few (chunk x colors) int64 arrays
 _FILL_CHUNK = 4096
 
 RowKernel = Callable[[Sequence[Color]], Callable[[np.ndarray], np.ndarray]]
@@ -439,43 +442,52 @@ def _transition_table(aut: SafetyAutomaton, colors: Sequence[Color]) -> np.ndarr
     return table
 
 
-def _edges_by_source(g: Graph):
-    """The graph's distinct colors (``_game_colors``), and its edges sorted
-    stably by source: CSR offsets per vertex, then int64 arrays of sources,
-    targets and color indices."""
-    colors = _game_colors(g)
-    cid = {c: i for i, c in enumerate(colors)}
+def _cone(game: Game, keys: np.ndarray, letters: np.ndarray, roots: Sequence[int], start: int = 0):
+    """Breadth-first exploration of the product of the game with a total
+    deterministic key automaton, from ``(v, start)`` for each root v.
+    ``keys`` holds the next key per key and index into the game's colors
+    (``_game_colors``), ``letters`` what each of those transitions reads.
+    The lifts and the product route pass the one-key automaton, so the
+    product is the roots' cone in the game itself.
+
+    Product states are coded ``v * key count + k``, reached ones marked in a
+    bool mask over every code.  Ids follow code order, vertex order on the
+    one-key automaton, not the order of discovery: the lifts' worklist
+    starts in id order, which sets how many lifts they take (on the disj-mp
+    benchmark game, discovery order takes 3.3 times as many).  Returns
+    (whether Eve owns each reached state, as a bool array; the edges sorted
+    stably by source, as int64 arrays of source ids, target ids and the
+    ``letters`` entry each reads; the roots' ids; and the reached codes in
+    id order).
+    """
+    g, nk = game.graph, keys.shape[0]
+    cid = {c: i for i, c in enumerate(_game_colors(g))}
     order = np.argsort(g._src_array, kind="stable")
+    dst = g._dst_array[order]
     col = np.fromiter((cid[g.edges[i][1]] for i in order), dtype=np.int64, count=len(order))
     ptr = np.zeros(g.vertex_count + 1, dtype=np.int64)
     np.cumsum(np.bincount(g._src_array, minlength=g.vertex_count), out=ptr[1:])
-    return colors, ptr, g._src_array[order], g._dst_array[order], col
 
+    def edges(codes: np.ndarray):
+        v, k = np.divmod(codes, nk)
+        lens = ptr[v + 1] - ptr[v]
+        e = _slices(ptr[v], lens, int(lens.sum()))
+        k, c = np.repeat(k, lens), col[e]
+        return lens, dst[e] * nk + keys[k, c], k, c
 
-def _eve_mask(game: Game) -> np.ndarray:
-    return np.fromiter((o is EVE for o in game.owner), dtype=bool, count=game.vertex_count)
-
-
-def _cone_game(game: Game, aut: SafetyAutomaton, roots: Sequence[int], table=None):
-    """What the lifts and the product route solve: the game restricted to
-    the cone of ``roots`` (the vertices reachable from them, renumbered
-    densely in vertex order) and the ranked transition table on the game's
-    colors (``_ranked``), filled here when not given.
-
-    Returns (table, the initial state's rank, the roots' cone ids, Eve's
-    cone vertices as a bool mask, and the cone's edges sorted stably by
-    source as int64 arrays of sources, targets and color indices).
-    """
-    colors, ptr, src, dst, col = _edges_by_source(game.graph)
-    if table is None:
-        table = _ranked_table(aut, colors)
-    inside = _cone(ptr, dst, roots)
-    index = np.cumsum(inside) - 1
-    keep = inside[src]
-    eve = _eve_mask(game)[inside]
-    initial = _initial_rank(aut)
-    root_ids = index[np.asarray(roots, dtype=np.int64)]
-    return table, initial, root_ids, eve, index[src[keep]], index[dst[keep]], col[keep]
+    seen = np.zeros(g.vertex_count * nk, dtype=bool)
+    starts = np.asarray(roots, dtype=np.int64) * nk + start
+    frontier = np.unique(starts)
+    seen[frontier] = True
+    while frontier.size:
+        target = edges(frontier)[1]
+        frontier = np.unique(target[~seen[target]])
+        seen[frontier] = True
+    codes = np.flatnonzero(seen)
+    lens, target, k, c = edges(codes)
+    src = np.repeat(np.arange(codes.size), lens)
+    eve = _eve_mask(game)[codes // nk]
+    return eve, src, np.searchsorted(codes, target), letters[k, c], np.searchsorted(codes, starts), codes
 
 
 def _solve_flat(game: Game, aut: SafetyAutomaton, roots: Sequence[int], table=None):
@@ -484,9 +496,9 @@ def _solve_flat(game: Game, aut: SafetyAutomaton, roots: Sequence[int], table=No
     (per-root win flags, stats dict).
 
     Codes are ``i * (nq + 1) + t`` for the i-th vertex of the roots' cone
-    and every rank t of the ranked ``table`` (``_cone_game``), nq the state
-    count; slot nq of each vertex is the losing sink where an undefined
-    transition leads.  The attractor ranges over every code, reached from
+    (``_cone``) and every rank t of the ranked ``table`` (``_ranked_table``,
+    filled when not given), nq the state count; slot nq of each vertex is
+    the losing sink where an undefined transition leads.  The attractor ranges over every code, reached from
     the roots or not: the reached codes are closed under successors, so on
     them it is the same.
 
@@ -501,7 +513,10 @@ def _solve_flat(game: Game, aut: SafetyAutomaton, roots: Sequence[int], table=No
     spanned (``product_states``) and those attracted (``attracted``), the
     route's work, with the sink counted once.
     """
-    table, initial, root_ids, eve, src, dst, cid = _cone_game(game, aut, roots, table)
+    if table is None:
+        table = _ranked_table(aut, _game_colors(game.graph))
+    # the one-key automaton: key 0 on every color, reading the color's index
+    eve, src, dst, cid, root_ids, _ = _cone(game, *np.indices((1, table.shape[1])), roots)
     nq, stride = aut.state_count, aut.state_count + 1
     n = eve.size
     state_ptr, state_of = _preimages(table)
@@ -512,7 +527,7 @@ def _solve_flat(game: Game, aut: SafetyAutomaton, roots: Sequence[int], table=No
     counter = counter.ravel()
     _drain(counter, stride, src * stride, dst, cid * stride, state_ptr, state_of)
 
-    wins = counter[root_ids * stride + initial] > 0
+    wins = counter[root_ids * stride + _initial_rank(aut)] > 0
     stats = {
         "path": "product",
         "automaton_states": nq,
@@ -549,11 +564,14 @@ def _solve_lifts(game: Game, aut: SafetyAutomaton, roots: Sequence[int], table=N
     cone, without building the product.  Valid only when ``delta`` is
     monotone in the automaton's rank order on the game's colors (see
     ``_is_monotone``); ``table`` is its ranked transition table on them
-    (``_cone_game``), filled when not given.  Returns (per-root win flags,
-    stats dict)."""
-    table, initial, root_ids, eve, src, dst, cid = _cone_game(game, aut, roots, table)
+    (``_ranked_table``), filled when not given.  The cone (``_cone``) is
+    numbered in vertex order.  Returns (per-root win flags, stats dict)."""
+    if table is None:
+        table = _ranked_table(aut, _game_colors(game.graph))
+    # the one-key automaton: key 0 on every color, reading the color's index
+    eve, src, dst, cid, root_ids, _ = _cone(game, *np.indices((1, table.shape[1])), roots)
     nq = aut.state_count
-    wins, lifts = _lift(eve, src, dst, cid, root_ids, _pre_table(table), nq, initial)
+    wins, lifts = _lift(eve, src, dst, cid, root_ids, _pre_table(table), nq, _initial_rank(aut))
     return wins, {"path": "lifts", "automaton_states": nq, "vertex_lifts": lifts}
 
 
@@ -637,43 +655,10 @@ def _key_table(counter: SafetyAutomaton, max_priority: int, colors: Sequence[Col
     return keys.reshape(shape), letters.reshape(shape)
 
 
-def _key_product(ptr, dst, col, keys, letters, starts):
-    """Breadth-first exploration of the product of a game (edges by source:
-    CSR ``ptr``, targets ``dst``, color indices ``col``) with a total
-    deterministic automaton (``keys``: next state per state and color),
-    coded ``v * key count + k``, from the ``starts`` codes.  Ids follow the
-    discovery order.  Returns (the codes in id order, the edges as int64
-    arrays of source ids, target ids and ``letters`` read off each edge,
-    and the starts' ids)."""
-    nk = keys.shape[0]
-    ids = np.full((len(ptr) - 1) * nk, -1, dtype=np.int32)
-    frontier = np.unique(starts)
-    ids[frontier] = np.arange(frontier.size)
-    none = np.zeros(0, dtype=np.int64)
-    found, srcs, dsts, reads = [frontier], [none], [none], [none]
-    first = 0
-    while frontier.size:
-        v, k = np.divmod(frontier, nk)
-        lens = ptr[v + 1] - ptr[v]
-        e = _slices(ptr[v], lens, int(lens.sum()))
-        k, c = np.repeat(k, lens), col[e]
-        target = dst[e] * nk + keys[k, c]
-        fresh = np.unique(target[ids[target] < 0])
-        last = first + frontier.size
-        ids[fresh] = np.arange(last, last + fresh.size)
-        srcs.append(np.repeat(np.arange(first, last), lens))
-        dsts.append(ids[target].astype(np.int64))
-        reads.append(letters[k, c])
-        found.append(fresh)
-        frontier, first = fresh, last
-    cat = np.concatenate
-    return cat(found), cat(srcs), cat(dsts), cat(reads), ids[starts].astype(np.int64)
-
-
 def _solve_cascade(game: Game, aut: SafetyAutomaton, roots: Sequence[int], table=None):
     """Solve the chained game of a parity-or-mean-payoff separator as (G x
     K) x P: the lifts (``_lift``) over its parity part P, on the key product
-    G x K (``_key_table``, ``_key_product``).  ``table`` is P's ranked
+    G x K (``_key_table``, ``_cone``).  ``table`` is P's ranked
     transition table on the priorities, monotone, filled when not given.
 
     A key-product edge reads a priority where the counter resets and
@@ -687,36 +672,18 @@ def _solve_cascade(game: Game, aut: SafetyAutomaton, roots: Sequence[int], table
     d, nq = parity.alphabet.max_priority, parity.state_count
     if table is None:
         table = _ranked_table(parity, range(d + 1))
-    colors, ptr, _, dst, col = _edges_by_source(game.graph)
-    keys, letters = _key_table(counter, d, colors)
-    nk = keys.shape[0]
-    starts = np.asarray(roots, dtype=np.int64) * nk + counter.initial
-    codes, src, kdst, read, root_ids = _key_product(ptr, dst, col, keys, letters, starts)
+    keys, letters = _key_table(counter, d, _game_colors(game.graph))
+    eve, src, dst, read, root_ids, codes = _cone(game, keys, letters, roots, counter.initial)
     pre = np.concatenate((_pre_table(table), np.arange(-1, nq, dtype=np.int32)))
-    wins, lifts = _lift(_eve_mask(game)[codes // nk], src, kdst, read, root_ids, pre, nq, _initial_rank(parity))
+    wins, lifts = _lift(eve, src, dst, read, root_ids, pre, nq, _initial_rank(parity))
     stats = {
         "path": "cascade",
         "automaton_states": aut.state_count,
-        "key_states": nk,
+        "key_states": keys.shape[0],
         "key_product_states": codes.size,
         "vertex_lifts": lifts,
     }
     return wins, stats
-
-
-def _cone(ptr: np.ndarray, dst: np.ndarray, roots: Sequence[int]) -> np.ndarray:
-    """Boolean mask of the vertices reachable from ``roots`` along edges
-    sorted by source (CSR offsets ``ptr``, targets ``dst``)."""
-    seen = np.zeros(len(ptr) - 1, dtype=bool)
-    frontier = np.unique(np.asarray(roots, dtype=np.int64))
-    seen[frontier] = True
-    while frontier.size:
-        starts = ptr[frontier]
-        lens = ptr[frontier + 1] - starts
-        reached = dst[_slices(starts, lens, int(lens.sum()))]
-        frontier = np.unique(reached[~seen[reached]])
-        seen[frontier] = True
-    return seen
 
 
 def _is_monotone(table: np.ndarray) -> bool:

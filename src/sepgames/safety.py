@@ -159,12 +159,17 @@ def _slices(starts: np.ndarray, lens: np.ndarray, total: int) -> np.ndarray:
     return np.repeat(starts - np.cumsum(lens) + lens, lens) + np.arange(total)
 
 
+def _eve_mask(game: Game) -> np.ndarray:
+    """Eve's vertices of ``game`` as a bool mask."""
+    return np.fromiter((o is EVE for o in game.owner), dtype=bool, count=game.vertex_count)
+
+
 def _attracted(game: Game, target: Sequence[int]) -> np.ndarray:
     """Membership mask of Adam's attractor to ``target`` and the Eve-owned
     sinks, on a game with at least one vertex."""
     g = game.graph
     n = g.vertex_count
-    eve_mask = np.fromiter((o is EVE for o in game.owner), dtype=bool, count=n)
+    eve_mask = _eve_mask(game)
     eve_sinks = np.flatnonzero(eve_mask & (np.bincount(g._src_array, minlength=n) == 0))
     seed = np.union1d(np.asarray(target, dtype=np.int64), eve_sinks)
     # called through the module attribute, which a tracer may replace

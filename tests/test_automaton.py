@@ -544,6 +544,10 @@ def test_lifts_match_flat_product_and_recursive_solver():
         assert _flags_region(lifts) == refs.zielonka_region(game)
         scalar = dataclasses.replace(aut, row_kernel=None)
         assert _flags_region(_solve_lifts(game, scalar, roots)[0]) == _flags_region(lifts)
+        # repeated roots, in any order, and none, on both routes
+        for solve in (_solve_lifts, _solve_flat):
+            assert list(map(bool, solve(game, aut, [n - 1, 0, n - 1])[0])) == [lifts[n - 1], lifts[0], lifts[n - 1]]
+            assert list(solve(game, aut, [])[0]) == []
 
 
 def test_ranked_counter_lifts_match_flat_product_and_value_iteration():
@@ -694,11 +698,15 @@ def test_cascade_reads_any_parity_part_and_falls_back_without_order():
     assert seen == {"cascade", "product"}
 
 
-def test_cascade_key_product_of_the_benchmark_game():
-    # the parity-mp n=40, d=4, N=2 game the benchmark solves from root 0:
-    # 395 keys (accumulator x counter), 10,989 of whose 15,800 codes with
-    # the game's vertices are reached, against the 72,285 states the
-    # product route would pair with each vertex
+def test_lift_counts_of_the_pinned_benchmark_games():
+    # the two games the benchmark solves from root 0, rebuilt from their
+    # seeds and checked against the pinned sha256 and verdict (LOSE).  The
+    # lifts' worklist starts in id order, so the lift counts pin the cone's
+    # numbering: code order, where discovery order takes 189,789 lifts on
+    # disj-mp and 41,150 on parity-mp.  On parity-mp, 395 keys (accumulator
+    # x counter), 10,989 of whose 15,800 codes with the game's vertices are
+    # reached, against the 72,285 states the product route would pair with
+    # each vertex
     import hashlib
     import importlib.util
     from pathlib import Path
@@ -709,14 +717,27 @@ def test_cascade_key_product_of_the_benchmark_game():
     spec = importlib.util.spec_from_file_location("perfbench_gen", root / "gen.py")
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
-    text = gen.game_text(random.Random("paritymp-root:0"), 40, (4, 4), "parity-mp", (4, 2))
-    pin = "438b2842785eda4244960291b12a6b4a7b47c6e5f25bc32fc0940d98966c7533"
-    assert hashlib.sha256(text.encode()).hexdigest() == pin
-    game = parse_game(text)
-    aut = build_separator(game.objective, 40)
+
+    def pinned(name, n, kw, params, pin):
+        text = gen.game_text(random.Random(f"{name}:0"), n, (4, 4), kw, params)
+        assert hashlib.sha256(text.encode()).hexdigest() == pin
+        game = parse_game(text)
+        return game, build_separator(game.objective, n)
+
+    game, aut = pinned(
+        "disjmp-root", 300, "disj-mp", (2, 2), "8303160484427e4f4630b5cf8bd5c10b1793fbcabe07c81c3cee61fb5f41cbfe"
+    )
+    flags, stats = _solve_lifts(game, aut, [0])
+    assert flags == [False]
+    assert (stats["automaton_states"], stats["vertex_lifts"]) == (8_192, 56_666)
+
+    game, aut = pinned(
+        "paritymp-root", 40, "parity-mp", (4, 2), "438b2842785eda4244960291b12a6b4a7b47c6e5f25bc32fc0940d98966c7533"
+    )
     flags, stats = _solve_cascade(game, aut, [0])
-    assert flags == [False]  # the benchmark's pinned verdict: LOSE
+    assert flags == [False]
     assert (stats["automaton_states"], stats["key_states"], stats["key_product_states"]) == (72_285, 395, 10_989)
+    assert stats["vertex_lifts"] == 33_869
 
 
 def test_parity_1000_vertices_8_priorities_matches_recursive_solver():
