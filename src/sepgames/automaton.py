@@ -25,10 +25,10 @@ routes by the automaton's parts and the table alone:
   labelled with the letter P reads ("stay" when there is no reset), and
   solved by the lifts over P.  Neither the whole automaton's table nor its
   product is built.
-* lifts: when ``delta`` is monotone in Eve's order, value iteration keeps
-  one threshold rank per game vertex of the roots' cone and never builds
-  the product; its ``pre`` table is read off the table's preimage counts,
-  and memory is O(states x colors + edges).
+* lifts: when ``delta`` is monotone in Eve's order, value iteration with
+  cycle jumps keeps one threshold rank per game vertex of the roots' cone
+  and never builds the product; its ``pre`` table is read off the table's
+  preimage counts, and memory is O(states x colors + edges).
 * product: otherwise, Adam's attractor on the integer-coded product of the
   roots' cone with every state and the sink (``_solve_flat``).  It neither
   explores the product nor stores its edges: the safety solver's attractor
@@ -52,6 +52,7 @@ export, and sizes the product for ``separators.separator_stats``.
 from __future__ import annotations
 
 import bisect
+import gc
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Optional, Sequence
@@ -96,6 +97,9 @@ __all__ = [
 # states per row-kernel call when ``_transition_table`` fills a table; caps
 # the kernels' temporaries at a few (chunk x colors) int64 arrays
 _FILL_CHUNK = 4096
+
+# drops of a vertex before ``_lift`` jumps its cycle, and the rounds and first window of ``_jump``
+_JUMP_AFTER = 32
 
 RowKernel = Callable[[Sequence[Color]], Callable[[np.ndarray], np.ndarray]]
 
@@ -453,8 +457,9 @@ def _cone(game: Game, keys: np.ndarray, letters: np.ndarray, roots: Sequence[int
     Product states are coded ``v * key count + k``, reached ones marked in a
     bool mask over every code.  Ids follow code order, vertex order on the
     one-key automaton, not the order of discovery: the lifts' worklist
-    starts in id order, which sets how many lifts they take (on the disj-mp
-    benchmark game, discovery order takes 3.3 times as many).  Returns
+    starts in id order, which sets how many lifts they take (discovery order
+    takes 1.4 times as many on the disj-mp benchmark game, 3.3 without the
+    cycle jumps).  Returns
     (whether Eve owns each reached state, as a bool array; the edges sorted
     stably by source, as int64 arrays of source ids, target ids and the
     ``letters`` entry each reads; the roots' ids; and the reached codes in
@@ -571,8 +576,8 @@ def _solve_lifts(game: Game, aut: SafetyAutomaton, roots: Sequence[int], table=N
     # the one-key automaton: key 0 on every color, reading the color's index
     eve, src, dst, cid, root_ids, _ = _cone(game, *np.indices((1, table.shape[1])), roots)
     nq = aut.state_count
-    wins, lifts = _lift(eve, src, dst, cid, root_ids, _pre_table(table), nq, _initial_rank(aut))
-    return wins, {"path": "lifts", "automaton_states": nq, "vertex_lifts": lifts}
+    wins, lifts, jumps = _lift(eve, src, dst, cid, root_ids, _pre_table(table), nq, _initial_rank(aut))
+    return wins, {"path": "lifts", "automaton_states": nq, "vertex_lifts": lifts, "cycle_jumps": jumps}
 
 
 def _lift(eve, src, dst, cid, root_ids, pre: np.ndarray, nq: int, initial: int):
@@ -590,20 +595,31 @@ def _lift(eve, src, dst, cid, root_ids, pre: np.ndarray, nq: int, initial: int):
     -1, read from ``pre[c * (nq + 1) + t + 1]`` (``_pre_table``).
     Iteration starts with every threshold at the last rank and Eve-owned
     sinks at -1, and lifts the vertices one at a time from a LIFO worklist,
-    which gets a vertex back whenever one of its successors drops.  Returns
-    (whether the rank ``initial`` is within the threshold of each of
-    ``root_ids``, the number of vertex lifts).
+    which gets a vertex back whenever one of its successors drops.  On a
+    cycle whose top priority is odd, or whose weight is negative, the
+    thresholds fall a rank or a weight per pass, so a vertex that has
+    dropped ``_JUMP_AFTER`` times, twice as many after each jump there,
+    jumps its cycle (``_jump``).  Returns (whether the rank ``initial`` is
+    within the threshold of each of ``root_ids``, the vertex lifts, the
+    jumps).
     """
     n = eve.size
     lookup = memoryview(pre)  # indexes as Python ints, without a copy
 
-    # each edge as (its letter's offset into the pre table, target)
+    # each edge as (its letter's offset into the pre table, target), with
+    # the cyclic collector paused: one tuple per edge sets it off many times
     sources = src.tolist()
     outs: list = [[] for _ in range(n)]
     preds: list = [[] for _ in range(n)]
-    for v, a, w in zip(sources, (cid * (nq + 1) + 1).tolist(), dst.tolist()):
-        outs[v].append((a, w))
-        preds[w].append(v)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for v, a, w in zip(sources, (cid * (nq + 1) + 1).tolist(), dst.tolist()):
+            outs[v].append((a, w))
+            preds[w].append(v)
+    finally:
+        if collecting:
+            gc.enable()
 
     eve = eve.tolist()
     level = [nq - 1] * n
@@ -614,7 +630,8 @@ def _lift(eve, src, dst, cid, root_ids, pre: np.ndarray, nq: int, initial: int):
     queued = bytearray(n)
     for v in pending:
         queued[v] = 1
-    lifts = 0
+    drops, due, idle = [0] * n, [_JUMP_AFTER] * n, [-1] * n
+    lifts = jumps = 0
     while pending:
         v = pending.pop()
         queued[v] = 0
@@ -627,8 +644,77 @@ def _lift(eve, src, dst, cid, root_ids, pre: np.ndarray, nq: int, initial: int):
                 if not queued[u]:
                     queued[u] = 1
                     pending.append(u)
+            drops[v] += 1
+            if drops[v] == due[v]:
+                due[v] *= 2
+                jumps += 1
+                for x in _jump(v, outs, eve, level, pre, drops, idle):
+                    for u in preds[x]:
+                        if not queued[u]:
+                            queued[u] = 1
+                            pending.append(u)
 
-    return [initial <= level[v] for v in root_ids.tolist()], lifts
+    return [initial <= level[v] for v in root_ids.tolist()], lifts, jumps
+
+
+def _jump(v, outs, eve, level, pre: np.ndarray, drops, idle) -> list:
+    """Cycle acceleration for ``_lift``: follow the best edges at the
+    current thresholds ``level`` from ``v`` to a cycle u_0 -> ... -> u_0,
+    lower the thresholds on it, and return the vertices lowered.
+
+    With c_i the letter of u_i's best edge and its other edges held at
+    their best value e_i, t[u_i] is at most h_i(t[u_{i+1}]), where h_i(x) =
+    min(t[u_i], max (Eve) or min (Adam) of (e_i, pre(c_i, x))).  So t[u_0]
+    falls to the largest x with x <= g(x), g = h_0 o ... o h_{k-1}, found by
+    ``_JUMP_AFTER`` rounds of x <- g(x), then on windows of ranks below (one
+    gather from ``pre`` per cycle vertex), doubling toward -1.  The
+    thresholds, and so the e_i, are at or above the greatest fixpoint,
+    whose t[u_0] is such an x, so the jump stays above it.
+    """
+    lookup = memoryview(pre)
+    at, path = {}, []  # path: (u_i, c_i's offset into pre, h_i's floor and cap)
+    while v not in at:
+        if not outs[v] or idle[v] == drops[v]:  # no drop since a jump through v lowered nothing
+            return []
+        at[v] = len(path)
+        lifted = [lookup[a + level[w]] for a, w in outs[v]]
+        best = lifted.index(max(lifted) if eve[v] else min(lifted))
+        a, w = outs[v][best]
+        exits = lifted[:best] + lifted[best + 1 :]
+        path.append((v, a, max(exits, default=-1), level[v]) if eve[v] else (v, a, -1, min([*exits, level[v]])))
+        v = w
+    cycle = path[at[v] :]
+    top = level[v]
+    for _ in range(_JUMP_AFTER):
+        x = top
+        for _, a, floor, cap in reversed(cycle):
+            x = min(max(lookup[a + x], floor), cap)
+        if x >= top:
+            break
+        top = x
+    else:
+        width = _JUMP_AFTER
+        while True:
+            xs = np.arange(max(top - width, -1), top + 1)
+            gx = xs
+            for _, a, floor, cap in reversed(cycle):
+                gx = np.minimum(np.maximum(pre[a + gx], floor), cap)
+            fits = xs[xs <= gx]
+            if fits.size:
+                break
+            top, width = int(xs[0]) - 1, 2 * width
+        top = int(fits[-1])
+    lowered = [v] if top < level[v] else []
+    level[v] = x = top
+    for u, a, floor, cap in cycle[:0:-1]:
+        x = min(max(lookup[a + x], floor), cap)
+        if x < level[u]:
+            level[u] = x
+            lowered.append(u)
+    if not lowered:
+        for u in at:
+            idle[u] = drops[u]
+    return lowered
 
 
 def _key_table(counter: SafetyAutomaton, max_priority: int, colors: Sequence[Color]):
@@ -675,13 +761,14 @@ def _solve_cascade(game: Game, aut: SafetyAutomaton, roots: Sequence[int], table
     keys, letters = _key_table(counter, d, _game_colors(game.graph))
     eve, src, dst, read, root_ids, codes = _cone(game, keys, letters, roots, counter.initial)
     pre = np.concatenate((_pre_table(table), np.arange(-1, nq, dtype=np.int32)))
-    wins, lifts = _lift(eve, src, dst, read, root_ids, pre, nq, _initial_rank(parity))
+    wins, lifts, jumps = _lift(eve, src, dst, read, root_ids, pre, nq, _initial_rank(parity))
     stats = {
         "path": "cascade",
         "automaton_states": aut.state_count,
         "key_states": keys.shape[0],
         "key_product_states": codes.size,
         "vertex_lifts": lifts,
+        "cycle_jumps": jumps,
     }
     return wins, stats
 

@@ -31,6 +31,7 @@ from sepgames import (
     solve_safety,
     solve_via_separating,
 )
+from sepgames import automaton
 from sepgames.automaton import _preimages, _solve_cascade, _solve_flat, _solve_lifts, _transition_table
 from sepgames.frontend import build_separator, generate_game
 
@@ -665,6 +666,58 @@ def test_cascade_matches_flat_product_and_chained_game():
     assert dead_ends == {EVE, ADAM} and 0 in bounds
 
 
+@pytest.mark.parametrize(
+    "suite",
+    [
+        test_lifts_match_flat_product_and_recursive_solver,
+        test_ranked_counter_lifts_match_flat_product_and_value_iteration,
+        test_cascade_matches_flat_product_and_chained_game,
+    ],
+)
+def test_lift_suites_with_jumps_from_the_first_drop(suite, monkeypatch):
+    # jumps at a vertex's 1st, 2nd, 4th, ... drop, each with one round of
+    # x <- g(x) before windows that start one rank wide
+    monkeypatch.setattr(automaton, "_JUMP_AFTER", 1)
+    suite()
+
+
+def test_negative_cycle_jumps_down_the_counter(monkeypatch):
+    # Adam keeps Eve on a cycle of weight -1 rather than leave for her
+    # positive loop; the weight -500 edge makes the counter 1,501 states
+    # tall, and without the jump its threshold falls one state per pass
+    n = 4
+    edges = ((0, -1, 1), (1, 0, 0), (1, 0, 2), (2, 1, 2), (3, -500, 0), (3, 500, 3))
+    game = Game(Graph(n, edges), (EVE, ADAM, EVE, ADAM), MeanPayoff(500))
+    aut = build_separator(game.objective, n)
+    assert aut.state_count == 1_501
+    flags, stats = _solve_lifts(game, aut, list(range(n)))
+    assert _flags_region(flags) == refs.mp_value_iteration_region(game) == {2}
+    assert stats["cycle_jumps"] >= 1 and stats["vertex_lifts"] < aut.state_count // 10
+    monkeypatch.setattr(automaton, "_JUMP_AFTER", 10**9)
+    flags, stats = _solve_lifts(game, aut, list(range(n)))
+    assert _flags_region(flags) == {2}
+    assert stats["cycle_jumps"] == 0 and stats["vertex_lifts"] > aut.state_count
+
+
+def test_lifts_leave_the_cyclic_collector_as_they_found_it():
+    # _lift pauses the collector while it builds its per-edge lists
+    import gc
+
+    from sepgames import Parity, ParityOrMeanPayoff
+
+    games = [generate_game(30, 1, 3, objective, seed=5) for objective in (Parity(4), ParityOrMeanPayoff(3, 2))]
+    enabled = gc.isenabled()
+    try:
+        for state in (True, False):
+            for game in games:
+                (gc.enable if state else gc.disable)()
+                _, stats = separating_winning_region(game, build_separator(game.objective, 30), with_stats=True)
+                assert gc.isenabled() is state
+                assert stats["path"] in ("lifts", "cascade")
+    finally:
+        (gc.enable if enabled else gc.disable)()
+
+
 def test_cascade_reads_any_parity_part_and_falls_back_without_order():
     # the cascade treats the parity part as a black box: a part whose table
     # is not monotone sends the solve to the product route, and a ranked
@@ -702,8 +755,8 @@ def test_lift_counts_of_the_pinned_benchmark_games():
     # the two games the benchmark solves from root 0, rebuilt from their
     # seeds and checked against the pinned sha256 and verdict (LOSE).  The
     # lifts' worklist starts in id order, so the lift counts pin the cone's
-    # numbering: code order, where discovery order takes 189,789 lifts on
-    # disj-mp and 41,150 on parity-mp.  On parity-mp, 395 keys (accumulator
+    # numbering: code order, where discovery order takes 2,845 lifts on
+    # disj-mp and 40,358 on parity-mp.  On parity-mp, 395 keys (accumulator
     # x counter), 10,989 of whose 15,800 codes with the game's vertices are
     # reached, against the 72,285 states the product route would pair with
     # each vertex
@@ -729,7 +782,7 @@ def test_lift_counts_of_the_pinned_benchmark_games():
     )
     flags, stats = _solve_lifts(game, aut, [0])
     assert flags == [False]
-    assert (stats["automaton_states"], stats["vertex_lifts"]) == (8_192, 56_666)
+    assert (stats["automaton_states"], stats["vertex_lifts"]) == (8_192, 2_021)
 
     game, aut = pinned(
         "paritymp-root", 40, "parity-mp", (4, 2), "438b2842785eda4244960291b12a6b4a7b47c6e5f25bc32fc0940d98966c7533"
@@ -737,7 +790,7 @@ def test_lift_counts_of_the_pinned_benchmark_games():
     flags, stats = _solve_cascade(game, aut, [0])
     assert flags == [False]
     assert (stats["automaton_states"], stats["key_states"], stats["key_product_states"]) == (72_285, 395, 10_989)
-    assert stats["vertex_lifts"] == 33_869
+    assert stats["vertex_lifts"] == 32_573
 
 
 def test_parity_1000_vertices_8_priorities_matches_recursive_solver():
@@ -750,6 +803,8 @@ def test_parity_1000_vertices_8_priorities_matches_recursive_solver():
     region, stats = separating_winning_region(game, aut, with_stats=True)
     assert stats["path"] == "lifts"
     assert region == refs.zielonka_region(game)
+    # 880,915 lifts without the jump
+    assert (stats["vertex_lifts"], stats["cycle_jumps"]) == (3_532, 2)
 
 
 def _reached_pairs(game, aut, roots):

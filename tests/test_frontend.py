@@ -224,7 +224,7 @@ def test_cli_solve_region_and_stats(tmp_path, monkeypatch):
     assert lines[1].startswith("region:")
     assert "path: cascade" in lines
     keys = [line.split(":")[0] for line in lines[2:]]
-    assert keys == ["path", "automaton_states", "key_states", "key_product_states", "vertex_lifts"]
+    assert keys == ["path", "automaton_states", "key_states", "key_product_states", "vertex_lifts", "cycle_jumps"]
     with monkeypatch.context() as patch:
         _product_route(patch)
         code, product_out, _ = _run_cli(argv)
