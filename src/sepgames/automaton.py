@@ -4,22 +4,23 @@ reduction.
 An automaton is a partial transition function over dense integer states; big
 generated families (tree-walking parity automata, bounded counters, their
 sequential chains) expose ``delta`` as a computed function rather than a
-table.  Each family also has a vectorized ``row_kernel`` that evaluates
-``delta`` for whole arrays of states at once (the parity one by searching
-the universal tree's per-level node starts); the solve routes below fill
-their states x colors transition tables with it in one pass.
+table.  Each family also has two vectorized kernels.  ``pre_kernel`` gives
+``pre(c, t)``, the last rank that moves to rank t or below on c, for every
+rank at once and in closed form from the automaton's structure: the
+universal tree's node sizes for parity, a shifted clip for counters, each
+block's ``pre`` shifted by its offset for chains.  ``row_kernel`` evaluates
+``delta`` for whole arrays of states (the parity one by searching the
+universal tree's per-level node starts); it fills transition tables where
+one is still needed.
 
-Solving a game through a separating automaton fills a transition table on
-the game's colors, with ``state_count`` where ``delta`` is undefined: the
-losing sink, above every state in every order.  The table is renumbered
-into Eve's order of the states (the automaton's ``rank``; leaf order for
-parity, counters from the top down).  ``_solve_roots`` picks one of three
-routes by the automaton's parts and the table alone:
+Solving a game through a separating automaton reads the automaton in Eve's
+order of its states (the automaton's ``rank``; leaf order for parity,
+counters from the top down).  ``_solve_roots`` picks one of three routes:
 
 * cascade: when the automaton is a parity-or-mean-payoff separator
-  (``cascade`` holds its parity part P and its counter) and P's table is
-  monotone.  The accumulated priority and the counter form a key automaton
-  K that moves whatever P's state is, and P moves only on a counter reset,
+  (``cascade`` holds its parity part P and its counter) and P is monotone.
+  The accumulated priority and the counter form a key automaton K that
+  moves whatever P's state is, and P moves only on a counter reset,
   reading the accumulated priority.  So the chained game is (G x K) x P:
   the key product G x K is explored from the roots (``_cone``), its edges
   labelled with the letter P reads ("stay" when there is no reset), and
@@ -27,16 +28,24 @@ routes by the automaton's parts and the table alone:
   product is built.
 * lifts: when ``delta`` is monotone in Eve's order, value iteration with
   cycle jumps keeps one threshold rank per game vertex of the roots' cone
-  and never builds the product; its ``pre`` table is read off the table's
-  preimage counts, and memory is O(states x colors + edges).
+  and never builds the product; memory is O(states x colors + edges) for
+  its ``pre`` array.  Every package separator has a ``pre_kernel``, so
+  neither route fills a transition table for them.
 * product: otherwise, Adam's attractor on the integer-coded product of the
   roots' cone with every state and the sink (``_solve_flat``).  It neither
   explores the product nor stores its edges: the safety solver's attractor
   (``safety._drain``) generates predecessors level by level from the
   game's edges by target and the table's inverse per color
   (``_preimages``), and each code holds one int32 counter; memory is
-  O(cone vertices x states + states x colors).  It is the fallback for
-  automata with neither an order nor a cascade, and the cross-check.
+  O(cone vertices x states + states x colors).
+
+Only automata without a ``pre_kernel`` (hand-built tables, parity-mp with
+its ``cascade`` stripped) take the table route: their transition table on
+the game's colors is filled, with ``state_count`` where ``delta`` is
+undefined (the losing sink, above every state in every order), renumbered
+into rank order, and checked for monotonicity; ``pre`` is then read off the
+table's preimage counts for the lifts, or the table goes to the product
+route.
 
 All three compute the winning region of the same chained safety game, and
 all three find what the roots reach with one breadth-first exploration,
@@ -54,7 +63,6 @@ from __future__ import annotations
 import bisect
 import gc
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -72,6 +80,7 @@ from .core import (
     Parity,
     ParityOrMeanPayoff,
     Safety,
+    _first_color_error,
 )
 # _attract and solve_safety are not called here, but stay module attributes:
 # perfbench/tracing.py replaces both by name on install, and a traced run
@@ -102,6 +111,7 @@ _FILL_CHUNK = 4096
 _JUMP_AFTER = 32
 
 RowKernel = Callable[[Sequence[Color]], Callable[[np.ndarray], np.ndarray]]
+PreKernel = Callable[[Sequence[Color]], np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,6 +129,12 @@ class SafetyAutomaton:
     of k states to the (k, len(colors)) int array of their successors, -1
     where ``delta`` is undefined.  ``rank`` is Eve's order of the states, a
     permutation with lower ranks no worse for her; ``None`` is state order.
+    ``pre_kernel``, when present, asserts that ``delta`` is monotone in that
+    order on every color, and ``pre_kernel(colors)`` returns ``pre`` on
+    them as ``_pre_table`` lays it out: a flat int32 array holding at ``i *
+    (state_count + 1) + t + 1`` the last rank whose successor on the i-th
+    color ranks t or below (-1 if none; -1 for t = -1).  The solver takes
+    the lifts on it without filling any table.
     ``cascade`` is set by ``combos.parity_mp_separator`` alone: its parity
     automaton and its counter, the parts its states (accumulated priority,
     parity state, counter state) are made of, which the solver reads
@@ -135,6 +151,7 @@ class SafetyAutomaton:
     row_kernel: Optional[RowKernel] = None
     rank: Optional[np.ndarray] = None
     cascade: Optional[tuple] = None
+    pre_kernel: Optional[PreKernel] = None
 
     def __post_init__(self) -> None:
         if self.state_count < 1:
@@ -153,8 +170,12 @@ class SafetyAutomaton:
         return self.state_label(q) if self.state_label else str(q)
 
 
-def _scalar_rows(delta: Callable, colors: Sequence[Color]) -> Callable[[np.ndarray], np.ndarray]:
-    """Row kernel of an automaton that has none: one ``delta`` call per entry."""
+def _rows(aut: SafetyAutomaton, colors: Sequence[Color]) -> Callable[[np.ndarray], np.ndarray]:
+    """The automaton's row kernel on ``colors``, or one ``delta`` call per
+    entry when it has none."""
+    if aut.row_kernel is not None:
+        return aut.row_kernel(colors)
+    delta = aut.delta
 
     def rows(states: np.ndarray) -> np.ndarray:
         table = [[-1 if (t := delta(q, c)) is None else t for c in colors] for q in states.tolist()]
@@ -189,10 +210,9 @@ def accepts_all_paths(aut: SafetyAutomaton, graph: Graph) -> bool:
     """True iff every finite (hence every infinite) path of ``graph`` has a
     defined run, checked on the synchronized product started from every
     ``(vertex, initial)`` pair.  Stops at the first undefined transition."""
-    for e in graph.edges:
-        err = aut.alphabet.color_error(e[1])
-        if err:
-            raise AlphabetMismatchError(f"edge {e!r}: {err}")
+    bad = _first_color_error(aut.alphabet, [e[1] for e in graph.edges])
+    if bad:
+        raise AlphabetMismatchError(f"edge {graph.edges[bad[0]]!r}: {bad[1]}")
     for _, _, t in _walk(graph, aut, range(graph.vertex_count)):
         if t is None:
             return False
@@ -255,6 +275,12 @@ def _chain(blocks: tuple) -> SafetyAutomaton:
     chain has a row kernel only if every block has one.  It ranks block by
     block; a jump lands on a block's initial state, first in counters' and
     trees' ranks, so chains of those stay monotone.
+
+    Then ``pre(c, t) = o_j + pre_j(c, t - o_j)`` for t in the block at
+    offset o_j: every earlier block's states move to ranks <= o_j on c, and
+    every later block's above t.  So the chain has a ``pre_kernel`` when
+    every block has one and ranks its initial state first.  It evaluates
+    each distinct block once, however many times the chain repeats it.
     """
     alphabet = blocks[0].alphabet
     for b in blocks[1:]:
@@ -311,6 +337,20 @@ def _chain(blocks: tuple) -> SafetyAutomaton:
 
         return rows
 
+    # each distinct block, with the offsets it sits at
+    placed: dict = {}
+    for b, o in zip(blocks, offsets):
+        placed.setdefault(id(b), (b, []))[1].append(o)
+
+    def pre_kernel(colors: Sequence[Color]) -> np.ndarray:
+        pre = np.empty((len(colors), total + 1), dtype=np.int32)
+        pre[:, 0] = -1
+        for b, at in placed.values():
+            o = np.array(at)[:, None]
+            block = b.pre_kernel(colors).reshape(len(colors), b.state_count + 1)[:, 1:]
+            pre[:, o + np.arange(1, b.state_count + 1)] = block[:, None] + o
+        return pre.ravel()
+
     rank = None
     if any(b.rank is not None for b in blocks):
         sizes = [b.state_count for b in blocks]
@@ -327,6 +367,7 @@ def _chain(blocks: tuple) -> SafetyAutomaton:
         state_label=state_label,
         row_kernel=row_kernel if all(b.row_kernel for b in blocks) else None,
         rank=rank,
+        pre_kernel=pre_kernel if all(b.pre_kernel and _initial_rank(b) == 0 for b in blocks) else None,
     )
 
 
@@ -439,7 +480,7 @@ def _transition_table(aut: SafetyAutomaton, colors: Sequence[Color]) -> np.ndarr
     nq = aut.state_count
     table = np.empty((nq, len(colors)), dtype=np.int32)
     if colors:
-        rows = (aut.row_kernel or partial(_scalar_rows, aut.delta))(colors)
+        rows = _rows(aut, colors)
         for lo in range(0, nq, _FILL_CHUNK):
             block = rows(np.arange(lo, min(lo + _FILL_CHUNK, nq)))
             table[lo : lo + _FILL_CHUNK] = np.where(block < 0, nq, block)
@@ -564,19 +605,19 @@ def _preimages(table: np.ndarray):
     return _preimage_ptr(table), states.ravel()
 
 
-def _solve_lifts(game: Game, aut: SafetyAutomaton, roots: Sequence[int], table=None):
+def _solve_lifts(game: Game, aut: SafetyAutomaton, roots: Sequence[int], pre=None):
     """Solve the chained game by value iteration (``_lift``) on the roots'
     cone, without building the product.  Valid only when ``delta`` is
-    monotone in the automaton's rank order on the game's colors (see
-    ``_is_monotone``); ``table`` is its ranked transition table on them
-    (``_ranked_table``), filled when not given.  The cone (``_cone``) is
-    numbered in vertex order.  Returns (per-root win flags, stats dict)."""
-    if table is None:
-        table = _ranked_table(aut, _game_colors(game.graph))
-    # the one-key automaton: key 0 on every color, reading the color's index
-    eve, src, dst, cid, root_ids, _ = _cone(game, *np.indices((1, table.shape[1])), roots)
+    monotone in the automaton's rank order on the game's colors; ``pre``
+    is its ``pre`` on them (``_monotone_pre``), computed when not given.
+    The cone (``_cone``) is numbered in vertex order.  Returns (per-root
+    win flags, stats dict)."""
     nq = aut.state_count
-    wins, lifts, jumps = _lift(eve, src, dst, cid, root_ids, _pre_table(table), nq, _initial_rank(aut))
+    if pre is None:
+        pre = _monotone_pre(aut, _game_colors(game.graph))[0]
+    # the one-key automaton: key 0 on every color, reading the color's index
+    eve, src, dst, cid, root_ids, _ = _cone(game, *np.indices((1, pre.size // (nq + 1))), roots)
+    wins, lifts, jumps = _lift(eve, src, dst, cid, root_ids, pre, nq, _initial_rank(aut))
     return wins, {"path": "lifts", "automaton_states": nq, "vertex_lifts": lifts, "cycle_jumps": jumps}
 
 
@@ -721,7 +762,7 @@ def _key_table(counter: SafetyAutomaton, max_priority: int, colors: Sequence[Col
     """The key automaton of a parity-or-mean-payoff separator on the game's
     colors: keys ``m * counter states + q`` for the accumulated priority m
     in [0, max_priority] and the counter state q.  On (p, w) the counter
-    reads w (``_transition_table``); if it moves to t, the key goes to
+    reads w (its row kernel, or ``delta``); if it moves to t, the key goes to
     (max(m, p), t) and the parity part stays, otherwise the key resets to
     (0, counter initial) and the parity part reads max(m, p).
 
@@ -731,21 +772,21 @@ def _key_table(counter: SafetyAutomaton, max_priority: int, colors: Sequence[Col
     nc = counter.state_count
     weights = list(dict.fromkeys(w for _, w in colors))
     at = {w: i for i, w in enumerate(weights)}
-    moved = _transition_table(counter, weights)[:, [at[w] for _, w in colors]]
+    moved = _rows(counter, weights)(np.arange(nc))[:, [at[w] for _, w in colors]]
     priorities = np.array([p for p, _ in colors], dtype=np.int64)
     acc = np.maximum(np.arange(max_priority + 1)[:, None], priorities)[:, None]
-    kept = moved < nc
+    kept = moved >= 0
     keys = np.where(kept, acc * nc + moved, counter.initial)
     letters = np.where(kept, max_priority + 1, acc)
     shape = ((max_priority + 1) * nc, len(colors))
     return keys.reshape(shape), letters.reshape(shape)
 
 
-def _solve_cascade(game: Game, aut: SafetyAutomaton, roots: Sequence[int], table=None):
+def _solve_cascade(game: Game, aut: SafetyAutomaton, roots: Sequence[int], pre=None):
     """Solve the chained game of a parity-or-mean-payoff separator as (G x
     K) x P: the lifts (``_lift``) over its parity part P, on the key product
-    G x K (``_key_table``, ``_cone``).  ``table`` is P's ranked
-    transition table on the priorities, monotone, filled when not given.
+    G x K (``_key_table``, ``_cone``).  ``pre`` is P's ``pre`` on the
+    priorities (``_monotone_pre``), P monotone, computed when not given.
 
     A key-product edge reads a priority where the counter resets and
     "stay" elsewhere, an identity column appended to P's ``pre`` table, so
@@ -756,11 +797,11 @@ def _solve_cascade(game: Game, aut: SafetyAutomaton, roots: Sequence[int], table
     """
     parity, counter = aut.cascade
     d, nq = parity.alphabet.max_priority, parity.state_count
-    if table is None:
-        table = _ranked_table(parity, range(d + 1))
+    if pre is None:
+        pre = _monotone_pre(parity, range(d + 1))[0]
     keys, letters = _key_table(counter, d, _game_colors(game.graph))
     eve, src, dst, read, root_ids, codes = _cone(game, keys, letters, roots, counter.initial)
-    pre = np.concatenate((_pre_table(table), np.arange(-1, nq, dtype=np.int32)))
+    pre = np.concatenate((pre, np.arange(-1, nq, dtype=np.int32)))
     wins, lifts, jumps = _lift(eve, src, dst, read, root_ids, pre, nq, _initial_rank(parity))
     stats = {
         "path": "cascade",
@@ -797,6 +838,18 @@ def _ranked_table(aut: SafetyAutomaton, colors: Sequence[Color]) -> np.ndarray:
     return _ranked(_transition_table(aut, colors), aut.rank)
 
 
+def _monotone_pre(aut: SafetyAutomaton, colors: Sequence[Color]):
+    """``pre`` on ``colors`` (``_pre_table``'s layout) where the automaton is
+    monotone in its rank order: from its ``pre_kernel``, without a table,
+    or else read off its ranked transition table (``_ranked_table``) if
+    that is monotone.  Returns (pre, None), or (None, the ranked table) when
+    it is not monotone."""
+    if aut.pre_kernel is not None:
+        return aut.pre_kernel(colors), None
+    table = _ranked_table(aut, colors)
+    return (_pre_table(table), None) if _is_monotone(table) else (None, table)
+
+
 def _initial_rank(aut: SafetyAutomaton) -> int:
     return aut.initial if aut.rank is None else int(aut.rank[aut.initial])
 
@@ -826,20 +879,21 @@ def _solve_roots(game: Game, aut: SafetyAutomaton, roots: Sequence[int]):
     """Does Eve win the chained game from ``(v, initial)``, for each root v?
     Returns (per-root win flags, stats dict naming the route in ``path``).
 
-    A cascade whose parity part has a monotone ranked table is solved as
-    one (``_solve_cascade``).  Otherwise the automaton's transition table
-    on the game's colors is filled and ranked once, and handed to either
-    route: lifts if it is monotone, otherwise the flat product.
+    A cascade whose parity part is monotone is solved as one
+    (``_solve_cascade``), otherwise a monotone automaton by the lifts, and
+    anything else by the flat product (``_monotone_pre``).  Automata with a
+    ``pre_kernel``, every separator the package builds, fill no table.
     """
     _check_alphabet(game, aut)
     if aut.cascade is not None:
         parity = aut.cascade[0]
-        table = _ranked_table(parity, range(parity.alphabet.max_priority + 1))
-        if _is_monotone(table):
-            return _solve_cascade(game, aut, roots, table)
-    table = _ranked_table(aut, _game_colors(game.graph))
-    solve = _solve_lifts if _is_monotone(table) else _solve_flat
-    return solve(game, aut, roots, table)
+        pre, _ = _monotone_pre(parity, range(parity.alphabet.max_priority + 1))
+        if pre is not None:
+            return _solve_cascade(game, aut, roots, pre)
+    pre, table = _monotone_pre(aut, _game_colors(game.graph))
+    if pre is not None:
+        return _solve_lifts(game, aut, roots, pre)
+    return _solve_flat(game, aut, roots, table)
 
 
 def solve_via_separating(game: Game, v0: int, aut: SafetyAutomaton) -> bool:

@@ -219,6 +219,7 @@ def _component_counter(base: SafetyAutomaton, dimensions: int, component: int) -
         state_label=lambda q: f"c{component}={q}",
         row_kernel=lambda colors: base.row_kernel([c[component] for c in colors]),
         rank=base.rank,
+        pre_kernel=lambda colors: base.pre_kernel([c[component] for c in colors]),
     )
 
 

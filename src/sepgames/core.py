@@ -98,6 +98,22 @@ ADAM = Player.ADAM
 # ---------------------------------------------------------------------------
 
 
+def _priority_error(c: Color, max_priority: int) -> Optional[str]:
+    if not isinstance(c, int) or isinstance(c, bool):
+        return f"expected a priority, got {c!r}"
+    if not 0 <= c <= max_priority:
+        return f"priority {c} exceeds d={max_priority}"
+    return None
+
+
+def _weight_error(c: Color, weight_bound: int) -> Optional[str]:
+    if not isinstance(c, int) or isinstance(c, bool):
+        return f"expected a weight, got {c!r}"
+    if not -weight_bound <= c <= weight_bound:
+        return f"weight {c} outside [-{weight_bound}, {weight_bound}]"
+    return None
+
+
 @dataclass(frozen=True)
 class Safety:
     """All infinite plays are fine; only Eve-controlled dead ends lose."""
@@ -140,11 +156,7 @@ class Parity:
         return 1
 
     def color_error(self, c: Color) -> Optional[str]:
-        if not isinstance(c, int) or isinstance(c, bool):
-            return f"expected a priority, got {c!r}"
-        if not 0 <= c <= self.max_priority:
-            return f"priority {c} exceeds d={self.max_priority}"
-        return None
+        return _priority_error(c, self.max_priority)
 
     def colors(self) -> Iterator[Color]:
         return iter(range(self.max_priority + 1))
@@ -173,11 +185,7 @@ class MeanPayoff:
         return 1
 
     def color_error(self, c: Color) -> Optional[str]:
-        if not isinstance(c, int) or isinstance(c, bool):
-            return f"expected a weight, got {c!r}"
-        if not -self.weight_bound <= c <= self.weight_bound:
-            return f"weight {c} outside [-{self.weight_bound}, {self.weight_bound}]"
-        return None
+        return _weight_error(c, self.weight_bound)
 
     def colors(self) -> Iterator[Color]:
         return iter(range(-self.weight_bound, self.weight_bound + 1))
@@ -211,10 +219,7 @@ class ParityOrMeanPayoff:
         if not isinstance(c, tuple) or len(c) != 2:
             return f"expected a (priority, weight) pair, got {c!r}"
         p, w = c
-        err = Parity(self.max_priority).color_error(p)
-        if err:
-            return err
-        return MeanPayoff(self.weight_bound).color_error(w)
+        return _priority_error(p, self.max_priority) or _weight_error(w, self.weight_bound)
 
     def colors(self) -> Iterator[Color]:
         return (
@@ -256,9 +261,8 @@ class MeanPayoffDisjunction:
     def color_error(self, c: Color) -> Optional[str]:
         if not isinstance(c, tuple) or len(c) != self.dimensions:
             return f"expected a weight vector of length {self.dimensions}, got {c!r}"
-        scalar = MeanPayoff(self.weight_bound)
         for w in c:
-            err = scalar.color_error(w)
+            err = _weight_error(w, self.weight_bound)
             if err:
                 return err
         return None
@@ -294,6 +298,23 @@ def _color_shape(c: Color):
     if isinstance(c, tuple):
         return ("vec", len(c))
     return "scalar"
+
+
+def _first_color_error(objective: Objective, colors: list) -> Optional[tuple]:
+    """(index, error) of the first of ``colors`` that ``objective`` rejects,
+    or ``None``.  Equal ints, or equal tuples of ints, get one verdict, so
+    when the colors are all such (or ``None``) each distinct one is checked
+    once; a bool, a float or an int subclass can equal an int and still be
+    rejected, so colors with any of those are checked one by one."""
+    kinds = set(map(type, colors))
+    if kinds == {tuple}:
+        kinds = set(map(type, itertools.chain.from_iterable(colors)))
+    for c in dict.fromkeys(colors) if kinds <= {int, type(None)} else colors:
+        err = objective.color_error(c)
+        if err:
+            # c is the first color equal to it, and the first one rejected
+            return next(i for i, x in enumerate(colors) if x is c), err
+    return None
 
 
 @dataclass(frozen=True)
@@ -384,10 +405,9 @@ class Game:
         for o in self.owner:
             if not isinstance(o, Player):
                 raise InvalidGameError(f"owner entries must be Player, got {o!r}")
-        for e in self.graph.edges:
-            err = self.objective.color_error(e[1])
-            if err:
-                raise InvalidGameError(f"edge {e!r}: {err}")
+        bad = _first_color_error(self.objective, [e[1] for e in self.graph.edges])
+        if bad:
+            raise InvalidGameError(f"edge {self.graph.edges[bad[0]]!r}: {bad[1]}")
 
     @property
     def vertex_count(self) -> int:

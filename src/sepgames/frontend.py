@@ -21,6 +21,7 @@ import dataclasses
 import random
 import sys
 import time
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -177,6 +178,8 @@ def parse_game(text: str) -> Game:
     arity = objective.color_arity
     edges = []
     seen = set()
+    # each distinct color's error, checked once: the colors are plain ints
+    errors: dict = {}
     while not toks.done():
         kw_tok, ln, col = toks.next("'edge'")
         if kw_tok != "edge":
@@ -203,7 +206,9 @@ def parse_game(text: str) -> Game:
             color = components[0][0]
         else:
             color = tuple(w for (w, _, _) in components)
-        err = objective.color_error(color)
+        if color not in errors:
+            errors[color] = objective.color_error(color)
+        err = errors[color]
         if err:
             _, el, ec = components[0] if components else (None, ln, col)
             raise ParseError(err, el, ec)
@@ -453,7 +458,10 @@ def _bench_line(n, d, N, states, product_states, ms) -> str:
     return "\t".join([cell(n), cell(d), cell(N), cell(states), cell(product_states), f"{ms:.1f}"])
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: every parse makes a fresh
+    namespace, so it can be reused."""
     parser = argparse.ArgumentParser(
         prog="sepgames",
         description="Solve parity / mean-payoff style games via separating automata",

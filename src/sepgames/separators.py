@@ -6,10 +6,12 @@
   leftmost leaf below the ancestor at its level.  The tree is stored as the
   sorted first leaves of each level's nodes, built on the first query; the
   scalar ``delta`` bisects one level per call and the row kernel searches
-  whole arrays of states in it.  Both are monotone in leaf order.
+  whole arrays of states in it.  Both are monotone in leaf order, and the
+  ``pre`` kernel reads each level's node sizes instead of searching it.
 
 * Mean payoff: a saturating counter over [0, (n-1)*N], started at the top;
   a letter is rejected exactly when it would push the counter below zero.
+  Its ``pre`` is a shifted clip of the ranks.
 """
 
 from __future__ import annotations
@@ -162,14 +164,18 @@ def parity_separator(n: int, max_priority: int) -> SafetyAutomaton:
     ``delta`` is monotone in leaf order: for every p, a leaf left of another
     moves to a leaf no further right, and only a suffix of the leaves has p
     undefined.  So parity games are solved by value iteration over this
-    order (the solver checks it on the filled transition table).
+    order, from the ``pre`` kernel below, without filling a transition
+    table: the tests check the kernel against the filled table's ``pre``.
 
     Priorities p and p + 1 (p even) read the same level, p // 2: the even
     one the first leaf of q's ancestor there, the odd one the first leaf of
     the next node on that level.  ``delta`` bisects the level's node starts
     for one state; the row kernel searches them for a whole array of states
-    (-1 past the last leaf).  Neither builds anything at construction, so
-    the state count alone stays cheap at any size.
+    (-1 past the last leaf).  So the last leaf that even p moves to t or
+    below is the last leaf of t's node, and for odd p the leaf before the
+    node's first; the ``pre`` kernel repeats those per node over its leaves.
+    None of them builds anything at construction, so the state count alone
+    stays cheap at any size.
     """
     if n < 1 or max_priority < 0:
         raise InvalidGameError("parity separator needs n >= 1 and max_priority >= 0")
@@ -208,6 +214,20 @@ def parity_separator(n: int, max_priority: int) -> SafetyAutomaton:
 
         return rows
 
+    def pre_kernel(colors: Sequence[int]) -> np.ndarray:
+        colors = list(colors)
+        pre = np.empty((len(colors), states + 1), dtype=np.int32)
+        pre[:, 0] = -1
+        for i, p in enumerate(colors):
+            if p <= 1:  # t itself, or the leaf before it
+                pre[i, 1:] = np.arange(-p, states - p, dtype=np.int32)
+                continue
+            starts = np.asarray(tree.levels[p >> 1])
+            ends = np.append(starts[1:], states)
+            last = (starts if p & 1 else ends) - 1
+            pre[i, 1:] = np.repeat(last.astype(np.int32), ends - starts)
+        return pre.ravel()
+
     return SafetyAutomaton(
         state_count=states,
         initial=0,
@@ -215,6 +235,7 @@ def parity_separator(n: int, max_priority: int) -> SafetyAutomaton:
         delta=delta,
         state_label=state_label,
         row_kernel=row_kernel,
+        pre_kernel=pre_kernel,
     )
 
 
@@ -244,6 +265,7 @@ def mp_separator(n: int, weight_bound: int) -> SafetyAutomaton:
         delta=delta,
         row_kernel=lambda colors: _counter_rows(top, colors),
         rank=np.arange(top, -1, -1),
+        pre_kernel=lambda colors: _counter_pre(top, colors),
     )
 
 
@@ -257,6 +279,17 @@ def _counter_rows(top: int, weights: Sequence[int]):
         return np.where(s < 0, -1, np.minimum(s, top))
 
     return rows
+
+
+def _counter_pre(top: int, weights: Sequence[int]) -> np.ndarray:
+    """``pre`` of a counter saturating at ``top``, in its rank order (rank
+    ``top - q``): the counter at rank r reaches rank t or below on w iff
+    r <= t + w, so ``pre(w, t) = min(t + w, top)``, and -1 below zero."""
+    weights = np.asarray(weights, dtype=np.int64).reshape(-1, 1)
+    pre = np.empty((len(weights), top + 2), dtype=np.int32)
+    pre[:, 0] = -1
+    pre[:, 1:] = np.clip(np.arange(top + 1) + weights, -1, top)
+    return pre.ravel()
 
 
 def parity_state_bound(n: int, max_priority: int) -> int:

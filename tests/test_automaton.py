@@ -543,7 +543,7 @@ def test_lifts_match_flat_product_and_recursive_solver():
         assert stats["vertex_lifts"] >= len({u for (u, _, _) in game.graph.edges})
         assert _flags_region(lifts) == _flags_region(_solve_flat(game, aut, roots)[0])
         assert _flags_region(lifts) == refs.zielonka_region(game)
-        scalar = dataclasses.replace(aut, row_kernel=None)
+        scalar = dataclasses.replace(aut, row_kernel=None, pre_kernel=None)
         assert _flags_region(_solve_lifts(game, scalar, roots)[0]) == _flags_region(lifts)
         # repeated roots, in any order, and none, on both routes
         for solve in (_solve_lifts, _solve_flat):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -9,13 +10,17 @@ from conftest import graphs
 from sepgames import (
     ADAM,
     EVE,
+    AlphabetMismatchError,
     Game,
     Graph,
     InvalidGameError,
     MeanPayoff,
+    MeanPayoffDisjunction,
     Parity,
     Path,
     PositionalStrategy,
+    accepts_all_paths,
+    build_separator,
     find_negative_cycle,
     graph_satisfies_mp,
     graph_satisfies_parity,
@@ -55,6 +60,22 @@ def test_game_rejects_out_of_bound_colors():
         Game(Graph(1, [(0, 5, 0)]), (EVE,), Parity(4))
     with pytest.raises(InvalidGameError):
         Game(Graph(1, [(0, -4, 0)]), (EVE,), MeanPayoff(3))
+
+
+def test_game_names_the_first_edge_with_a_rejected_color():
+    # equal colors are checked once, but a bool or a float equal to an
+    # accepted int is still rejected, on its own edge
+    cases = [
+        (Parity(4), [(0, 1, 1), (1, 7, 2), (2, 7, 0), (0, 9, 2)], "(1, 7, 2)"),
+        (Parity(4), [(0, 1, 1), (1, True, 2)], "(1, True, 2)"),
+        (MeanPayoff(3), [(0, 1, 1), (0, 2, 2), (2, 1.0, 0)], "(2, 1.0, 0)"),
+        (MeanPayoffDisjunction(2, 1), [(0, (1, 0), 1), (1, (1, False), 2)], "(1, (1, False), 2)"),
+    ]
+    for objective, edges, named in cases:
+        with pytest.raises(InvalidGameError, match=re.escape(f"edge {named}:")):
+            Game(Graph(3, edges), (EVE,) * 3, objective)
+        with pytest.raises(AlphabetMismatchError, match=re.escape(f"edge {named}:")):
+            accepts_all_paths(build_separator(objective, 3), Graph(3, edges))
 
 
 def test_game_needs_owner_per_vertex():

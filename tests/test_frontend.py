@@ -210,6 +210,23 @@ def test_cli_solve_minimal(tmp_path):
     assert code == 0 and out.strip() == "WIN"
 
 
+def test_cli_parser_is_reused_after_a_failed_parse(tmp_path):
+    # the parser is built once per process: an argument error leaves
+    # nothing behind for the next call
+    from sepgames import frontend
+
+    f = tmp_path / "min.game"
+    f.write_text(MINIMAL.replace("edge 0 0 0", "edge 0 0 -1"))
+    assert frontend._build_parser() is frontend._build_parser()
+    for bad in (["solve", "--input", str(f)], ["solve", "--from", "x"], ["frobnicate"]):
+        code, out, err = _run_cli(bad)
+        assert code == 2 and out == "" and "usage:" in err
+        code, out, _ = _run_cli(["solve", "--input", str(f), "--from", "0"])
+        assert code == 0 and out.strip() == "LOSE"
+        code, out, _ = _run_cli(["solve", "--input", str(f), "--from", "0", "--region", "--stats"])
+        assert code == 0 and out.splitlines()[:3] == ["LOSE", "region: ", "path: lifts"]
+
+
 def test_cli_solve_region_and_stats(tmp_path, monkeypatch):
     # parity-mp is solved as a cascade and sized by its key product; without
     # its cascade parts it takes the product route, sized by the product

@@ -1,26 +1,39 @@
-"""Row kernels against the scalar ``delta``, entry by entry.
+"""Row kernels against the scalar ``delta``, entry by entry, and ``pre``
+kernels against the filled table's ``pre``.
 
 Every library separator evaluates its transitions two ways: ``delta`` one
 (state, color) at a time, and ``row_kernel`` for whole arrays of states.
 The kernel must agree with ``delta`` on every state and every color, with
 -1 where ``delta`` is undefined; the solvers' transition table holds the
-same entries, with ``state_count`` (the losing sink) in place of -1.
+same entries, with ``state_count`` (the losing sink) in place of -1.  The
+``pre_kernel`` the solver reads instead of that table must give exactly
+the ``pre`` read off it, ``_pre_table`` of the table in rank order.
 """
 
+import dataclasses
 import random
 
 import numpy as np
 import pytest
 
 from sepgames import (
+    MeanPayoff,
+    MeanPayoffDisjunction,
+    Parity,
+    ParityOrMeanPayoff,
+    automaton,
     disjmp_scc_separator,
     disjmp_separator,
+    generate_game,
     mp_separator,
     naive_general_separator,
     parity_mp_separator,
     parity_separator,
+    separating_winning_region,
+    sequential_product,
 )
-from sepgames.automaton import _is_monotone, _pre_table, _ranked, _transition_table
+from sepgames.automaton import _is_monotone, _pre_table, _ranked, _solve_flat, _transition_table
+from sepgames.frontend import build_separator
 
 
 def _scalar_table(aut, colors, states):
@@ -177,3 +190,105 @@ def test_parity_and_parity_mp_keep_state_order():
     assert parity_separator(5, 4).rank is None
     assert naive_general_separator(parity_separator(3, 3), 3).rank is None
     assert parity_mp_separator(parity_separator(3, 2), mp_separator(3, 1)).rank is None
+
+
+# ---------------------------------------------------------------------------
+# pre kernels against the filled table's pre
+# ---------------------------------------------------------------------------
+
+
+def _assert_pre_kernel_is_table_pre(aut, colors):
+    colors = list(colors)
+    pre = aut.pre_kernel(colors)
+    assert pre.dtype == np.int32 and pre.shape == (len(colors) * (aut.state_count + 1),)
+    assert np.array_equal(pre, _pre_table(_ranked(_transition_table(aut, colors), aut.rank)))
+
+
+def _color_lists(aut):
+    # every color, reordered with repeats, a few, and none
+    colors = list(aut.alphabet.colors())
+    rng = random.Random(len(colors))
+    return [colors, rng.choices(colors, k=2 * len(colors) + 1), colors[::-3], []]
+
+
+@pytest.mark.parametrize("d", range(10))
+def test_parity_pre_kernel_is_table_pre(d):
+    for n in range(1, 41):
+        aut = parity_separator(n, d)
+        for colors in _color_lists(aut):
+            _assert_pre_kernel_is_table_pre(aut, colors)
+
+
+@pytest.mark.parametrize("N", range(4))
+def test_mp_pre_kernel_is_table_pre(N):
+    for n in range(1, 13):
+        aut = mp_separator(n, N)
+        for colors in _color_lists(aut):
+            _assert_pre_kernel_is_table_pre(aut, colors)
+
+
+@pytest.mark.parametrize("N", range(3))
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_disjmp_pre_kernel_is_table_pre(d, N):
+    for n in (1, 2, 4, 7, 10):
+        for aut in (disjmp_scc_separator(n, d, N), disjmp_separator(n, d, N)):
+            for colors in _color_lists(aut):
+                _assert_pre_kernel_is_table_pre(aut, colors)
+
+
+def test_chain_pre_kernels_are_table_pre():
+    chains = [
+        naive_general_separator(parity_separator(3, 3), 3),
+        naive_general_separator(parity_separator(5, 4), 2),
+        naive_general_separator(disjmp_scc_separator(3, 2, 1), 3),
+        naive_general_separator(disjmp_scc_separator(4, 1, 2), 4),
+        sequential_product(parity_separator(4, 5), parity_separator(6, 5)),
+        sequential_product(parity_separator(1, 0), parity_separator(3, 0)),
+    ]
+    for aut in chains:
+        assert aut.pre_kernel is not None
+        for colors in _color_lists(aut):
+            _assert_pre_kernel_is_table_pre(aut, colors)
+
+
+def test_chain_without_a_first_ranked_initial_has_no_pre_kernel():
+    # a jump into a block lands on its initial state; ranked anywhere but
+    # first, the states before it in the block are better than the jump's
+    # target, and the chain's table is no longer monotone
+    inner = dataclasses.replace(parity_separator(3, 2), initial=1)
+    assert inner.pre_kernel is not None
+    for aut in (
+        sequential_product(parity_separator(3, 2), inner),
+        sequential_product(inner, parity_separator(3, 2)),
+        naive_general_separator(dataclasses.replace(mp_separator(3, 1), initial=0), 2),
+    ):
+        assert aut.pre_kernel is None and aut.row_kernel is not None
+    # the table route still solves them, by the lifts where the table is
+    # monotone, else by the product
+    game = generate_game(5, 1, 3, Parity(2), seed=748)
+    aut = sequential_product(parity_separator(3, 2), inner)
+    assert separating_winning_region(game, aut) == _flat_region(game, aut)
+
+
+def _flat_region(game, aut):
+    flags, _ = _solve_flat(game, aut, list(range(game.vertex_count)))
+    return frozenset(v for v, f in enumerate(flags) if f)
+
+
+def test_package_separators_solve_without_a_transition_table(monkeypatch):
+    # parity, mean payoff and disj-mp by the lifts on their pre kernels,
+    # parity-mp by the cascade on its parity part's kernel: none fills,
+    # ranks or checks a table
+    def refused(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    rng = random.Random(749)
+    for objective in (Parity(6), MeanPayoff(2), ParityOrMeanPayoff(3, 2), MeanPayoffDisjunction(2, 2)):
+        game = generate_game(12, 1, 3, objective, seed=rng.randrange(10**9))
+        aut = build_separator(objective, 12)
+        with monkeypatch.context() as patch:
+            for name in ("_transition_table", "_ranked", "_is_monotone"):
+                patch.setattr(automaton, name, refused)
+            region, stats = separating_winning_region(game, aut, with_stats=True)
+        assert stats["path"] == ("cascade" if isinstance(objective, ParityOrMeanPayoff) else "lifts")
+        assert region == _flat_region(game, aut)
