@@ -4,58 +4,46 @@ reduction.
 An automaton is a partial transition function over dense integer states; big
 generated families (tree-walking parity automata, bounded counters, their
 sequential chains) expose ``delta`` as a computed function rather than a
-table.  Each family also has two vectorized kernels.  ``pre_kernel`` gives
-``pre(c, t)``, the last rank that moves to rank t or below on c, for every
-rank at once and in closed form from the automaton's structure: the
-universal tree's node sizes for parity, a shifted clip for counters, each
-block's ``pre`` shifted by its offset for chains.  ``row_kernel`` evaluates
-``delta`` for whole arrays of states (the parity one by searching the
-universal tree's per-level node starts); it fills transition tables where
-one is still needed.
+table.  Each family also has a vectorized ``pre_kernel``: ``pre(c, t)``,
+the last rank that moves to rank t or below on c, for every rank at once
+and in closed form from the automaton's structure: the universal tree's
+node sizes for parity, a shifted clip for counters, each block's ``pre``
+shifted by its offset for chains.
 
 Solving a game through a separating automaton reads the automaton in Eve's
 order of its states (the automaton's ``rank``; leaf order for parity,
-counters from the top down).  ``_solve_roots`` picks one of three routes:
+counters from the top down).  ``_solve_roots`` picks one of two routes, or
+a fallback for automata that carry neither route's parts:
 
 * cascade: when the automaton is a parity-or-mean-payoff separator
-  (``cascade`` holds its parity part P and its counter) and P is monotone.
-  The accumulated priority and the counter form a key automaton K that
-  moves whatever P's state is, and P moves only on a counter reset,
-  reading the accumulated priority.  So the chained game is (G x K) x P:
-  the key product G x K is explored from the roots (``_cone``), its edges
-  labelled with the letter P reads ("stay" when there is no reset), and
-  solved by the lifts over P.  Neither the whole automaton's table nor its
-  product is built.
-* lifts: when ``delta`` is monotone in Eve's order, value iteration with
-  cycle jumps keeps one threshold rank per game vertex of the roots' cone
-  and never builds the product; memory is O(states x colors + edges) for
-  its ``pre`` array.  Every package separator has a ``pre_kernel``, so
-  neither route fills a transition table for them.
-* product: otherwise, Adam's attractor on the integer-coded product of the
-  roots' cone with every state and the sink (``_solve_flat``).  It neither
-  explores the product nor stores its edges: the safety solver's attractor
-  (``safety._drain``) generates predecessors level by level from the
-  game's edges by target and the table's inverse per color
-  (``_preimages``), and each code holds one int32 counter; memory is
-  O(cone vertices x states + states x colors).
+  (``cascade`` holds its parity part P and its counter) and P has a
+  ``pre_kernel``.  The accumulated priority and the counter form a key
+  automaton K that moves whatever P's state is, and P moves only on a
+  counter reset, reading the accumulated priority.  So the chained game is
+  (G x K) x P: the key product G x K is explored from the roots
+  (``_cone``), its edges labelled with the letter P reads ("stay" when
+  there is no reset), and solved by the lifts over P.  Neither the whole
+  automaton's table nor its product is built.
+* lifts: when the automaton has a ``pre_kernel``, so ``delta`` is monotone
+  in Eve's order, value iteration with cycle jumps keeps one threshold rank
+  per game vertex of the roots' cone and never builds the product; memory
+  is O(states x colors + edges) for its ``pre`` array.
 
-Only automata without a ``pre_kernel`` (hand-built tables, parity-mp with
-its ``cascade`` stripped) take the table route: their transition table on
-the game's colors is filled, with ``state_count`` where ``delta`` is
-undefined (the losing sink, above every state in every order), renumbered
-into rank order, and checked for monotonicity; ``pre`` is then read off the
-table's preimage counts for the lifts, or the table goes to the product
-route.
+Every separator the package builds takes one of the two.  Anything else
+(hand-built automata, separators with their kernels or cascade stripped)
+is solved on its chained game: the product reached from all roots, built
+as objects by ``_walk`` with one scalar ``delta`` call per product edge and
+solved by ``safety.solve_safety`` (``_solve_product``).  It has no size
+guard, so it is meant for small automata.
 
-All three compute the winning region of the same chained safety game, and
-all three find what the roots reach with one breadth-first exploration,
+The routes find what the roots reach with one breadth-first exploration,
 ``_cone``: of the key product for the cascade, of the game itself (the
-product with a one-key automaton) for the other two.  The one walk of the
+product with a one-key automaton) for the lifts.  The one walk of the
 product with the automaton itself is ``_walk``, a lazy depth-first walk
-from the roots with one scalar ``delta`` call per product edge and no
-table: it answers ``accepts_all_paths`` up to the first undefined
-transition, builds ``chained_game`` as objects for inspection and DOT
-export, and sizes the product for ``separators.separator_stats``.
+from the roots with no table: it answers ``accepts_all_paths`` up to the
+first undefined transition, builds the chained game as objects for the
+fallback, for inspection and for DOT export, and sizes the product for
+``separators.separator_stats``.
 """
 
 from __future__ import annotations
@@ -82,10 +70,12 @@ from .core import (
     Safety,
     _first_color_error,
 )
-# _attract and solve_safety are not called here, but stay module attributes:
-# perfbench/tracing.py replaces both by name on install, and a traced run
-# fails without them
-from .safety import _attract, _drain, _eve_mask, _slices, solve_safety  # noqa: F401
+from .safety import _eve_mask, _slices, solve_safety
+
+# _attract is not called here, but stays a module attribute:
+# perfbench/tracing.py replaces it by name on install, and a traced run
+# fails without it
+from .safety import _attract  # noqa: F401
 
 __all__ = [
     "SafetyAutomaton",
@@ -103,14 +93,9 @@ __all__ = [
     "chained_game_dot",
 ]
 
-# states per row-kernel call when ``_transition_table`` fills a table; caps
-# the kernels' temporaries at a few (chunk x colors) int64 arrays
-_FILL_CHUNK = 4096
-
 # drops of a vertex before ``_lift`` jumps its cycle, and the rounds and first window of ``_jump``
 _JUMP_AFTER = 32
 
-RowKernel = Callable[[Sequence[Color]], Callable[[np.ndarray], np.ndarray]]
 PreKernel = Callable[[Sequence[Color]], np.ndarray]
 
 
@@ -124,17 +109,16 @@ class SafetyAutomaton:
     enumerates for one state a reduced set of ``(color, target)``
     representatives covering every behaviorally distinct transition with
     componentwise-minimal weights (used to keep induced graphs small for
-    vector alphabets).  ``row_kernel``, when present, is the vectorized
-    ``delta``: ``row_kernel(colors)`` returns a function mapping an int array
-    of k states to the (k, len(colors)) int array of their successors, -1
-    where ``delta`` is undefined.  ``rank`` is Eve's order of the states, a
+    vector alphabets).  ``rank`` is Eve's order of the states, a
     permutation with lower ranks no worse for her; ``None`` is state order.
     ``pre_kernel``, when present, asserts that ``delta`` is monotone in that
     order on every color, and ``pre_kernel(colors)`` returns ``pre`` on
-    them as ``_pre_table`` lays it out: a flat int32 array holding at ``i *
-    (state_count + 1) + t + 1`` the last rank whose successor on the i-th
-    color ranks t or below (-1 if none; -1 for t = -1).  The solver takes
-    the lifts on it without filling any table.
+    them: a flat int32 array holding at ``i * (state_count + 1) + t + 1``
+    the last rank whose successor on the i-th color ranks t or below (-1 if
+    none; -1 for t = -1), where an undefined successor ranks above every
+    state.  The solver takes the lifts on it without filling any table;
+    without it, the automaton's chained game is built and solved as
+    objects.
     ``cascade`` is set by ``combos.parity_mp_separator`` alone: its parity
     automaton and its counter, the parts its states (accumulated priority,
     parity state, counter state) are made of, which the solver reads
@@ -148,7 +132,6 @@ class SafetyAutomaton:
     parts: Optional[tuple] = None
     outgoing: Optional[Callable[[int], Sequence[tuple[Color, Optional[int]]]]] = None
     state_label: Optional[Callable[[int], str]] = None
-    row_kernel: Optional[RowKernel] = None
     rank: Optional[np.ndarray] = None
     cascade: Optional[tuple] = None
     pre_kernel: Optional[PreKernel] = None
@@ -168,20 +151,6 @@ class SafetyAutomaton:
 
     def label(self, q: int) -> str:
         return self.state_label(q) if self.state_label else str(q)
-
-
-def _rows(aut: SafetyAutomaton, colors: Sequence[Color]) -> Callable[[np.ndarray], np.ndarray]:
-    """The automaton's row kernel on ``colors``, or one ``delta`` call per
-    entry when it has none."""
-    if aut.row_kernel is not None:
-        return aut.row_kernel(colors)
-    delta = aut.delta
-
-    def rows(states: np.ndarray) -> np.ndarray:
-        table = [[-1 if (t := delta(q, c)) is None else t for c in colors] for q in states.tolist()]
-        return np.array(table, dtype=np.int64).reshape(len(states), len(colors))
-
-    return rows
 
 
 def _check_letters(alphabet: Objective, word: Iterable[Color]):
@@ -271,10 +240,9 @@ def _chain(blocks: tuple) -> SafetyAutomaton:
 
     The state set is the disjoint union of the blocks' states; a letter
     undefined in the current block jumps (consuming the letter) to the next
-    block's initial state, and is undefined only in the last block.  The
-    chain has a row kernel only if every block has one.  It ranks block by
-    block; a jump lands on a block's initial state, first in counters' and
-    trees' ranks, so chains of those stay monotone.
+    block's initial state, and is undefined only in the last block.  It
+    ranks block by block; a jump lands on a block's initial state, first in
+    counters' and trees' ranks, so chains of those stay monotone.
 
     Then ``pre(c, t) = o_j + pre_j(c, t - o_j)`` for t in the block at
     offset o_j: every earlier block's states move to ranks <= o_j on c, and
@@ -318,25 +286,6 @@ def _chain(blocks: tuple) -> SafetyAutomaton:
         i = bisect.bisect_right(offsets, s) - 1
         return f"{i}:{blocks[i].label(s - offsets[i])}"
 
-    def row_kernel(colors: Sequence[Color]) -> Callable[[np.ndarray], np.ndarray]:
-        block_rows = [b.row_kernel(colors) for b in blocks]
-        starts = np.array(offsets, dtype=np.int64)
-        jumps = [-1 if t is None else t for t in jump_target]
-
-        def rows(states: np.ndarray) -> np.ndarray:
-            states = np.asarray(states, dtype=np.int64)
-            block = np.searchsorted(starts, states, side="right") - 1
-            order = np.argsort(block, kind="stable")
-            cuts = np.searchsorted(block[order], np.arange(len(blocks) + 1))
-            out = np.empty((states.size, len(colors)), dtype=np.int64)
-            for i in np.flatnonzero(cuts[1:] > cuts[:-1]).tolist():
-                sel = order[cuts[i] : cuts[i + 1]]
-                t = block_rows[i](states[sel] - offsets[i])
-                out[sel] = np.where(t >= 0, t + offsets[i], jumps[i])
-            return out
-
-        return rows
-
     # each distinct block, with the offsets it sits at
     placed: dict = {}
     for b, o in zip(blocks, offsets):
@@ -365,7 +314,6 @@ def _chain(blocks: tuple) -> SafetyAutomaton:
         parts=blocks,
         outgoing=outgoing,
         state_label=state_label,
-        row_kernel=row_kernel if all(b.row_kernel for b in blocks) else None,
         rank=rank,
         pre_kernel=pre_kernel if all(b.pre_kernel and _initial_rank(b) == 0 for b in blocks) else None,
     )
@@ -391,7 +339,7 @@ def sequential_fold(auts: Sequence[SafetyAutomaton]) -> SafetyAutomaton:
 
 
 # ---------------------------------------------------------------------------
-# Chained game (the walked product as objects, for inspection)
+# Chained game (the walked product as objects)
 # ---------------------------------------------------------------------------
 
 
@@ -400,11 +348,13 @@ class ChainedGame:
     """Safety game synchronizing a game with an automaton, collected from
     the product walk (``_walk``).
 
-    Only product states reachable from the root are materialized, with ids
-    in the order the walk first meets them, the root's 0.  ``bottom`` is the
-    Eve-owned losing sink reached on undefined transitions, present only if
-    some undefined transition is reachable.  ``edge_origin`` maps each
-    product edge to the index of the game edge that induced it.
+    Only product states reachable from the roots are materialized, with
+    ids for the roots' states first, in the order the roots are listed, then
+    in the order the walk first meets them.  ``roots`` holds each root's id,
+    repeats included.  ``bottom`` is the Eve-owned losing sink reached on
+    undefined transitions, present only if some undefined transition is
+    reachable.  ``edge_origin`` maps each product edge to the index of the
+    game edge that induced it.
     """
 
     game: Game
@@ -420,23 +370,31 @@ class ChainedGame:
 
 
 def chained_game(game: Game, aut: SafetyAutomaton, v0: int) -> ChainedGame:
-    """Product safety game reachable from ``(v0, initial)``, built with one
-    scalar ``delta`` call per product edge.  Parallel product edges (game
-    edges of one vertex that lead to the same product state, the sink
-    included) are merged into the first one."""
+    """Product safety game reachable from ``(v0, initial)``, whose id is 0
+    (``_chained``)."""
     if not 0 <= v0 < game.vertex_count:
         raise InvalidGameError(f"start vertex {v0} out of range")
     _check_alphabet(game, aut)
+    return _chained(game, aut, [v0])
+
+
+def _chained(game: Game, aut: SafetyAutomaton, roots: Sequence[int]) -> ChainedGame:
+    """Product safety game reachable from ``(v, initial)`` for each root v,
+    built with one scalar ``delta`` call per product edge.  Parallel
+    product edges (game edges of one vertex that lead to the same product
+    state, the sink included) are merged into the first one."""
     g = game.graph
     nq = aut.state_count
     # each vertex's game edge indices, in ``successors`` order
     out: list = [[] for _ in range(g.vertex_count)]
     for i, (u, _, _) in enumerate(g.edges):
         out[u].append(i)
-    # code -> id; the sink is the code None
-    ids = {v0 * nq + aut.initial: 0}
+    # code -> id, the roots' first; the sink is the code None
+    ids: dict = {}
+    for v in roots:
+        ids.setdefault(v * nq + aut.initial, len(ids))
     edges: dict = {}
-    for code, k, t in _walk(g, aut, [v0]):
+    for code, k, t in _walk(g, aut, dict.fromkeys(roots)):
         edges.setdefault((ids[code], None, ids.setdefault(t, len(ids))), out[code // nq][k])
     pairs = tuple(None if c is None else divmod(c, nq) for c in ids)
     product = Game(
@@ -448,7 +406,7 @@ def chained_game(game: Game, aut: SafetyAutomaton, v0: int) -> ChainedGame:
         game=product,
         state_ids={p: i for i, p in enumerate(pairs) if p is not None},
         bottom=ids.get(None),
-        roots=(0,),
+        roots=tuple(ids[v * nq + aut.initial] for v in roots),
         product_pairs=pairs,
         edge_origin=tuple(edges.values()),
         source=game,
@@ -463,7 +421,7 @@ def _check_alphabet(game: Game, aut: SafetyAutomaton) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Integer-coded solving (flat product and lifts)
+# Solving the chained game: the lifts, the cascade, and the object product
 # ---------------------------------------------------------------------------
 
 
@@ -472,28 +430,13 @@ def _game_colors(g: Graph) -> list:
     return list(dict.fromkeys(e[1] for e in g.edges))
 
 
-def _transition_table(aut: SafetyAutomaton, colors: Sequence[Color]) -> np.ndarray:
-    """The whole states x colors int32 transition table, filled in chunks of
-    states through the row kernel (or ``delta`` when the automaton has
-    none).  Where ``delta`` is undefined it holds ``state_count``, the
-    losing sink, which stays above every state in every order."""
-    nq = aut.state_count
-    table = np.empty((nq, len(colors)), dtype=np.int32)
-    if colors:
-        rows = _rows(aut, colors)
-        for lo in range(0, nq, _FILL_CHUNK):
-            block = rows(np.arange(lo, min(lo + _FILL_CHUNK, nq)))
-            table[lo : lo + _FILL_CHUNK] = np.where(block < 0, nq, block)
-    return table
-
-
 def _cone(game: Game, keys: np.ndarray, letters: np.ndarray, roots: Sequence[int], start: int = 0):
     """Breadth-first exploration of the product of the game with a total
     deterministic key automaton, from ``(v, start)`` for each root v.
     ``keys`` holds the next key per key and index into the game's colors
     (``_game_colors``), ``letters`` what each of those transitions reads.
-    The lifts and the product route pass the one-key automaton, so the
-    product is the roots' cone in the game itself.
+    The lifts pass the one-key automaton, so the product is the roots' cone
+    in the game itself.
 
     Product states are coded ``v * key count + k``, reached ones marked in a
     bool mask over every code.  Ids follow code order, vertex order on the
@@ -536,87 +479,36 @@ def _cone(game: Game, keys: np.ndarray, letters: np.ndarray, roots: Sequence[int
     return eve, src, np.searchsorted(codes, target), letters[k, c], np.searchsorted(codes, starts), codes
 
 
-def _solve_flat(game: Game, aut: SafetyAutomaton, roots: Sequence[int], table=None):
-    """Solve the chained game by Adam's attractor on the integer-coded
-    product, without exploring it or storing any of its edges.  Returns
-    (per-root win flags, stats dict).
-
-    Codes are ``i * (nq + 1) + t`` for the i-th vertex of the roots' cone
-    (``_cone``) and every rank t of the ranked ``table`` (``_ranked_table``,
-    filled when not given), nq the state count; slot nq of each vertex is
-    the losing sink where an undefined transition leads.  The attractor ranges over every code, reached from
-    the roots or not: the reached codes are closed under successors, so on
-    them it is the same.
-
-    The attractor is ``safety._drain``, the one the safety solver runs too.
-    It generates the predecessors of (w, t) level by level: (v, q) for each
-    game edge (v, c, w) and each q with ``table[q, c] == t``, read off the
-    table's preimages (``_preimages``), whose group for t = nq lists the
-    states undefined on c.  Per code there is a single int32, 4 bytes: a
-    counter of the edges it still needs into the attractor (the game
-    out-degree for Eve, 1 for Adam, 0 for Eve dead ends and the sink slots),
-    which is <= 0 once the code is attracted.  The stats give the codes
-    spanned (``product_states``) and those attracted (``attracted``), the
-    route's work, with the sink counted once.
-    """
-    if table is None:
-        table = _ranked_table(aut, _game_colors(game.graph))
-    # the one-key automaton: key 0 on every color, reading the color's index
-    eve, src, dst, cid, root_ids, _ = _cone(game, *np.indices((1, table.shape[1])), roots)
-    nq, stride = aut.state_count, aut.state_count + 1
-    n = eve.size
-    state_ptr, state_of = _preimages(table)
-
-    counter = np.empty((n, stride), dtype=np.int32)
-    counter[:, :nq] = np.where(eve, np.bincount(src, minlength=n), 1)[:, None]
-    counter[:, nq] = 0
-    counter = counter.ravel()
-    _drain(counter, stride, src * stride, dst, cid * stride, state_ptr, state_of)
-
-    wins = counter[root_ids * stride + _initial_rank(aut)] > 0
+def _solve_product(game: Game, aut: SafetyAutomaton, roots: Sequence[int]):
+    """Solve the chained game of an automaton that has neither route's
+    parts: the product reached from all the roots at once, built as objects
+    (``_chained``) and solved by ``solve_safety``.  Returns (per-root win
+    flags, stats dict).  The stats count the product states, the sink
+    included when reached (as ``separators.separator_stats`` counts them
+    from every vertex), and those Adam attracts."""
+    chain = _chained(game, aut, roots)
+    # called through the module attribute, which a tracer may replace
+    wins = solve_safety(chain.game).eve_wins
+    n = chain.game.vertex_count
     stats = {
         "path": "product",
-        "automaton_states": nq,
-        "product_states": n * nq + 1,
-        "attracted": int(np.count_nonzero(counter <= 0)) - n + 1,
+        "automaton_states": aut.state_count,
+        "product_states": n,
+        "attracted": n - len(wins),
     }
-    return wins, stats
+    return [r in wins for r in chain.roots], stats
 
 
-def _preimage_ptr(table: np.ndarray) -> np.ndarray:
-    """CSR offsets of the inverse of a states x colors transition ``table``:
-    group g = i * (nq + 1) + t, for the i-th color and t in [0, nq], spans
-    ``ptr[g] : ptr[g + 1]`` and counts the states q with ``table[q, i] ==
-    t``.  Returns int64 ptr."""
-    nq, ncol = table.shape
-    ptr = np.zeros(ncol * (nq + 1) + 1, dtype=np.int64)
-    for i, column in enumerate(table.T):
-        ptr[i * (nq + 1) + 1 : (i + 1) * (nq + 1) + 1] = np.bincount(column, minlength=nq + 1)
-    return np.cumsum(ptr, out=ptr)
-
-
-def _preimages(table: np.ndarray):
-    """The states x colors transition ``table`` inverted, as a CSR: the
-    states q with ``table[q, i] == t`` are ``states[ptr[g] : ptr[g + 1]]``
-    for the group g = i * (nq + 1) + t (``_preimage_ptr``), those undefined
-    on the i-th color under t = nq.  Each (q, i) is listed once, in no
-    particular order within its group.  Returns (int64 ptr, int32 states)."""
-    states = np.argsort(table, axis=0).T.astype(np.int32, order="C")
-    return _preimage_ptr(table), states.ravel()
-
-
-def _solve_lifts(game: Game, aut: SafetyAutomaton, roots: Sequence[int], pre=None):
+def _solve_lifts(game: Game, aut: SafetyAutomaton, roots: Sequence[int]):
     """Solve the chained game by value iteration (``_lift``) on the roots'
-    cone, without building the product.  Valid only when ``delta`` is
-    monotone in the automaton's rank order on the game's colors; ``pre``
-    is its ``pre`` on them (``_monotone_pre``), computed when not given.
-    The cone (``_cone``) is numbered in vertex order.  Returns (per-root
-    win flags, stats dict)."""
+    cone, without building the product, from the automaton's ``pre_kernel``
+    on the game's colors.  The cone (``_cone``) is numbered in vertex
+    order.  Returns (per-root win flags, stats dict)."""
     nq = aut.state_count
-    if pre is None:
-        pre = _monotone_pre(aut, _game_colors(game.graph))[0]
+    colors = _game_colors(game.graph)
+    pre = aut.pre_kernel(colors)
     # the one-key automaton: key 0 on every color, reading the color's index
-    eve, src, dst, cid, root_ids, _ = _cone(game, *np.indices((1, pre.size // (nq + 1))), roots)
+    eve, src, dst, cid, root_ids, _ = _cone(game, *np.indices((1, len(colors))), roots)
     wins, lifts, jumps = _lift(eve, src, dst, cid, root_ids, pre, nq, _initial_rank(aut))
     return wins, {"path": "lifts", "automaton_states": nq, "vertex_lifts": lifts, "cycle_jumps": jumps}
 
@@ -633,7 +525,7 @@ def _lift(eve, src, dst, cid, root_ids, pre: np.ndarray, nq: int, initial: int):
         t[v] = max (Eve) or min (Adam) over edges (v, c, w) of pre(c, t[w]),
 
     where ``pre(c, t)`` is the largest rank r with ``delta(r, c) <= t``, or
-    -1, read from ``pre[c * (nq + 1) + t + 1]`` (``_pre_table``).
+    -1, read from ``pre[c * (nq + 1) + t + 1]`` (a ``pre_kernel``'s layout).
     Iteration starts with every threshold at the last rank and Eve-owned
     sinks at -1, and lifts the vertices one at a time from a LIFO worklist,
     which gets a vertex back whenever one of its successors drops.  On a
@@ -736,10 +628,13 @@ def _jump(v, outs, eve, level, pre: np.ndarray, drops, idle) -> list:
     else:
         width = _JUMP_AFTER
         while True:
-            xs = np.arange(max(top - width, -1), top + 1)
-            gx = xs
+            # int32 like ``pre``: a window can span the whole rank range
+            xs = np.arange(max(top - width, -1), top + 1, dtype=np.int32)
+            gx = xs.copy()
             for _, a, floor, cap in reversed(cycle):
-                gx = np.minimum(np.maximum(pre[a + gx], floor), cap)
+                gx += a
+                gx = pre[gx]
+                np.clip(gx, floor, cap, out=gx)
             fits = xs[xs <= gx]
             if fits.size:
                 break
@@ -762,17 +657,19 @@ def _key_table(counter: SafetyAutomaton, max_priority: int, colors: Sequence[Col
     """The key automaton of a parity-or-mean-payoff separator on the game's
     colors: keys ``m * counter states + q`` for the accumulated priority m
     in [0, max_priority] and the counter state q.  On (p, w) the counter
-    reads w (its row kernel, or ``delta``); if it moves to t, the key goes to
-    (max(m, p), t) and the parity part stays, otherwise the key resets to
-    (0, counter initial) and the parity part reads max(m, p).
+    reads w (one ``delta`` call per counter state and distinct weight); if
+    it moves to t, the key goes to (max(m, p), t) and the parity part
+    stays, otherwise the key resets to (0, counter initial) and the parity
+    part reads max(m, p).
 
     Returns two int64 keys x colors tables: the next key, and the letter the
     parity part reads, ``max_priority + 1`` for "stay".
     """
-    nc = counter.state_count
+    nc, delta = counter.state_count, counter.delta
     weights = list(dict.fromkeys(w for _, w in colors))
     at = {w: i for i, w in enumerate(weights)}
-    moved = _rows(counter, weights)(np.arange(nc))[:, [at[w] for _, w in colors]]
+    moved = [-1 if (t := delta(q, w)) is None else t for q in range(nc) for w in weights]
+    moved = np.array(moved, dtype=np.int64).reshape(nc, len(weights))[:, [at[w] for _, w in colors]]
     priorities = np.array([p for p, _ in colors], dtype=np.int64)
     acc = np.maximum(np.arange(max_priority + 1)[:, None], priorities)[:, None]
     kept = moved >= 0
@@ -782,11 +679,11 @@ def _key_table(counter: SafetyAutomaton, max_priority: int, colors: Sequence[Col
     return keys.reshape(shape), letters.reshape(shape)
 
 
-def _solve_cascade(game: Game, aut: SafetyAutomaton, roots: Sequence[int], pre=None):
+def _solve_cascade(game: Game, aut: SafetyAutomaton, roots: Sequence[int]):
     """Solve the chained game of a parity-or-mean-payoff separator as (G x
     K) x P: the lifts (``_lift``) over its parity part P, on the key product
-    G x K (``_key_table``, ``_cone``).  ``pre`` is P's ``pre`` on the
-    priorities (``_monotone_pre``), P monotone, computed when not given.
+    G x K (``_key_table``, ``_cone``), from P's ``pre_kernel`` on the
+    priorities.
 
     A key-product edge reads a priority where the counter resets and
     "stay" elsewhere, an identity column appended to P's ``pre`` table, so
@@ -797,8 +694,7 @@ def _solve_cascade(game: Game, aut: SafetyAutomaton, roots: Sequence[int], pre=N
     """
     parity, counter = aut.cascade
     d, nq = parity.alphabet.max_priority, parity.state_count
-    if pre is None:
-        pre = _monotone_pre(parity, range(d + 1))[0]
+    pre = parity.pre_kernel(range(d + 1))
     keys, letters = _key_table(counter, d, _game_colors(game.graph))
     eve, src, dst, read, root_ids, codes = _cone(game, keys, letters, roots, counter.initial)
     pre = np.concatenate((pre, np.arange(-1, nq, dtype=np.int32)))
@@ -814,60 +710,8 @@ def _solve_cascade(game: Game, aut: SafetyAutomaton, roots: Sequence[int], pre=N
     return wins, stats
 
 
-def _is_monotone(table: np.ndarray) -> bool:
-    """Is every column of a transition table non-decreasing in the state?
-    Stops at the first column that decreases."""
-    for column in table.T:
-        if (column[1:] < column[:-1]).any():
-            return False
-    return True
-
-
-def _ranked(table: np.ndarray, rank: Optional[np.ndarray]) -> np.ndarray:
-    """A transition table renumbered by ``rank``: row ``rank[q]`` holds the
-    ranks of q's successors, the sink ``state_count`` ranking last.  The
-    table itself when ``rank`` is ``None``."""
-    if rank is None:
-        return table
-    return np.append(rank, len(rank)).astype(np.int32)[table[np.argsort(rank)]]
-
-
-def _ranked_table(aut: SafetyAutomaton, colors: Sequence[Color]) -> np.ndarray:
-    """The transition table on ``colors`` (``_transition_table``) in the
-    automaton's rank order (``_ranked``)."""
-    return _ranked(_transition_table(aut, colors), aut.rank)
-
-
-def _monotone_pre(aut: SafetyAutomaton, colors: Sequence[Color]):
-    """``pre`` on ``colors`` (``_pre_table``'s layout) where the automaton is
-    monotone in its rank order: from its ``pre_kernel``, without a table,
-    or else read off its ranked transition table (``_ranked_table``) if
-    that is monotone.  Returns (pre, None), or (None, the ranked table) when
-    it is not monotone."""
-    if aut.pre_kernel is not None:
-        return aut.pre_kernel(colors), None
-    table = _ranked_table(aut, colors)
-    return (_pre_table(table), None) if _is_monotone(table) else (None, table)
-
-
 def _initial_rank(aut: SafetyAutomaton) -> int:
     return aut.initial if aut.rank is None else int(aut.rank[aut.initial])
-
-
-def _pre_table(table: np.ndarray) -> np.ndarray:
-    """``pre(c, t)`` of a monotone transition table: the largest state q with
-    ``table[q, c] <= t`` (-1 if none), for the i-th color c and every t in
-    [-1, nq), as an int32 array indexed ``i * (nq + 1) + t + 1``.  The
-    states with ``table[q, c] <= t`` are a prefix, so ``pre(c, t)`` is their
-    number - 1, a running count of the column's values; filled one color at
-    a time."""
-    nq, ncol = table.shape
-    pre = np.empty((ncol, nq + 1), dtype=np.int32)
-    pre[:, 0] = -1
-    for i, column in enumerate(table.T):
-        np.cumsum(np.bincount(column, minlength=nq + 1)[:nq], out=pre[i, 1:])
-        pre[i, 1:] -= 1
-    return pre.ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -879,21 +723,18 @@ def _solve_roots(game: Game, aut: SafetyAutomaton, roots: Sequence[int]):
     """Does Eve win the chained game from ``(v, initial)``, for each root v?
     Returns (per-root win flags, stats dict naming the route in ``path``).
 
-    A cascade whose parity part is monotone is solved as one
-    (``_solve_cascade``), otherwise a monotone automaton by the lifts, and
-    anything else by the flat product (``_monotone_pre``).  Automata with a
-    ``pre_kernel``, every separator the package builds, fill no table.
+    A cascade whose parity part has a ``pre_kernel`` is solved as one
+    (``_solve_cascade``), an automaton with a ``pre_kernel`` by the lifts
+    (``_solve_lifts``), and anything else on its chained game built as
+    objects (``_solve_product``).  Every separator the package builds takes
+    one of the first two.
     """
     _check_alphabet(game, aut)
-    if aut.cascade is not None:
-        parity = aut.cascade[0]
-        pre, _ = _monotone_pre(parity, range(parity.alphabet.max_priority + 1))
-        if pre is not None:
-            return _solve_cascade(game, aut, roots, pre)
-    pre, table = _monotone_pre(aut, _game_colors(game.graph))
-    if pre is not None:
-        return _solve_lifts(game, aut, roots, pre)
-    return _solve_flat(game, aut, roots, table)
+    if aut.cascade is not None and aut.cascade[0].pre_kernel is not None:
+        return _solve_cascade(game, aut, roots)
+    if aut.pre_kernel is not None:
+        return _solve_lifts(game, aut, roots)
+    return _solve_product(game, aut, roots)
 
 
 def solve_via_separating(game: Game, v0: int, aut: SafetyAutomaton) -> bool:

@@ -25,8 +25,6 @@ import math
 from functools import lru_cache
 from typing import Optional
 
-import numpy as np
-
 from .automaton import SafetyAutomaton, sequential_fold
 from .core import (
     AlphabetMismatchError,
@@ -64,11 +62,9 @@ def parity_mp_separator(parity_aut: SafetyAutomaton, mp_aut: SafetyAutomaton) ->
     The accumulator starts at 0 so that the first reset feeds exactly the
     maximum priority seen so far, matching how runs decompose.
 
-    The row kernel is composed from the two automata's row kernels the same
-    way, and exists only if both have one.  The two automata are kept as
-    the result's ``cascade``: the accumulator and the counter move whatever
-    the parity state is, so the solver reads the parts instead of the
-    product's table (``automaton._solve_cascade``).
+    The two automata are kept as the result's ``cascade``: the accumulator
+    and the counter move whatever the parity state is, so the solver reads
+    the parts instead of the product (``automaton._solve_cascade``).
     """
     if not isinstance(parity_aut.alphabet, Parity):
         raise AlphabetMismatchError(f"expected a priority alphabet, got {parity_aut.alphabet!r}")
@@ -98,30 +94,12 @@ def parity_mp_separator(parity_aut: SafetyAutomaton, mp_aut: SafetyAutomaton) ->
         p, qp = divmod(rest, np_)
         return f"{p}|{parity_aut.label(qp)}|{mp_aut.label(qmp)}"
 
-    def row_kernel(colors):
-        letters = np.asarray(colors, dtype=np.int64).reshape(-1, 2)
-        priorities = letters[:, 0]
-        parity_rows = parity_aut.row_kernel(range(max_priority + 1))
-        mp_rows = mp_aut.row_kernel(letters[:, 1].tolist())
-
-        def rows(states):
-            rest, qmp = np.divmod(np.asarray(states, dtype=np.int64), nmp)
-            p, qp = np.divmod(rest, np_)
-            m = np.maximum(p[:, None], priorities)
-            t = mp_rows(qmp)
-            tp = np.take_along_axis(parity_rows(qp), m, axis=1)
-            reset = np.where(tp >= 0, tp * nmp + mp_init, -1)
-            return np.where(t >= 0, (m * np_ + qp[:, None]) * nmp + t, reset)
-
-        return rows
-
     return SafetyAutomaton(
         state_count=(max_priority + 1) * np_ * nmp,
         initial=parity_aut.initial * nmp + mp_init,  # accumulator 0
         alphabet=ParityOrMeanPayoff(max_priority, weight_bound),
         delta=delta,
         state_label=state_label,
-        row_kernel=row_kernel if parity_aut.row_kernel and mp_aut.row_kernel else None,
         cascade=(parity_aut, mp_aut),
     )
 
@@ -217,7 +195,6 @@ def _component_counter(base: SafetyAutomaton, dimensions: int, component: int) -
         delta=delta,
         outgoing=outgoing,
         state_label=lambda q: f"c{component}={q}",
-        row_kernel=lambda colors: base.row_kernel([c[component] for c in colors]),
         rank=base.rank,
         pre_kernel=lambda colors: base.pre_kernel([c[component] for c in colors]),
     )

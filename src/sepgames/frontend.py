@@ -27,7 +27,6 @@ from typing import Optional, Sequence
 
 from .automaton import (
     SafetyAutomaton,
-    _solve_flat,
     _solve_roots,
     automaton_dot,
     separating_winning_region,
@@ -415,47 +414,41 @@ def _cmd_bench(args) -> int:
     print(f"# suite: {args.suite}")
     constant = universal_sequence_constant()
     print(f"# disj-mp state bound: states <= c * n * log2(n+1) * d * N with c = {constant:.6f}")
-    print("n\td\tN\tstates\tproduct_states\tms")
+    print("n\td\tN\tstates\tpath\tms")
+    # (objective, n, d, N, min and max degree, seed); each row is solved
+    # from every vertex, and reports the route its solve took
     if args.suite == "small":
         rows = [
-            ("parity", 6, 3, None, 11),
-            ("mp", 6, None, 2, 12),
-            ("parity-mp", 5, 3, 2, 13),
-            ("disj-mp", 5, 2, 2, 14),
+            ("parity", 6, 3, None, (1, 3), 11),
+            ("mp", 6, None, 2, (1, 3), 12),
+            ("parity-mp", 5, 3, 2, (1, 3), 13),
+            ("disj-mp", 5, 2, 2, (1, 3), 14),
         ]
-        for kind, n, d, N, seed in rows:
-            objective = OBJECTIVES[kind](*(x for x in (d, N) if x is not None))
-            game = generate_game(n, 1, 3, objective, seed)
-            aut = build_separator(objective, n)
-            t0 = time.perf_counter()
-            _, stats = separating_winning_region(game, aut, with_stats=True)
-            ms = (time.perf_counter() - t0) * 1000
-            print(_bench_line(n, d, N, aut.state_count, stats.get("product_states"), ms))
-        return 0
-
-    # scaling: disj-mp growth plus the plain safety solver at scale
-    for n in (50, 100, 200, 400):
-        objective = MeanPayoffDisjunction(2, 2)
-        game = generate_game(n, 4, 4, objective, seed=1000 + n)
+    else:  # scaling: disj-mp growth, then the plain safety solver at scale
+        rows = [("disj-mp", n, 2, 2, (4, 4), 1000 + n) for n in (50, 100, 200, 400)]
+    for kind, n, d, N, degrees, seed in rows:
+        objective = OBJECTIVES[kind](*(x for x in (d, N) if x is not None))
+        game = generate_game(n, *degrees, objective, seed)
         aut = build_separator(objective, n)
         t0 = time.perf_counter()
-        _, stats = _solve_flat(game, aut, [0])
+        _, stats = separating_winning_region(game, aut, with_stats=True)
         ms = (time.perf_counter() - t0) * 1000
-        print(_bench_line(n, 2, 2, aut.state_count, stats["product_states"], ms))
-    n = 100_000
-    game = generate_game(n, 5, 5, Safety(), seed=99)
-    t0 = time.perf_counter()
-    solve_safety(game)
-    ms = (time.perf_counter() - t0) * 1000
-    print(_bench_line(n, None, None, None, None, ms))
+        print(_bench_line(n, d, N, aut.state_count, stats["path"], ms))
+    if args.suite == "scaling":
+        n = 100_000
+        game = generate_game(n, 5, 5, Safety(), seed=99)
+        t0 = time.perf_counter()
+        solve_safety(game)
+        ms = (time.perf_counter() - t0) * 1000
+        print(_bench_line(n, None, None, None, None, ms))
     return 0
 
 
-def _bench_line(n, d, N, states, product_states, ms) -> str:
+def _bench_line(n, d, N, states, path, ms) -> str:
     def cell(x):
         return "-" if x is None else str(x)
 
-    return "\t".join([cell(n), cell(d), cell(N), cell(states), cell(product_states), f"{ms:.1f}"])
+    return "\t".join([cell(n), cell(d), cell(N), cell(states), cell(path), f"{ms:.1f}"])
 
 
 @lru_cache(maxsize=None)

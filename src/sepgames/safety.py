@@ -7,11 +7,10 @@ counter drops to zero.  Each edge is inspected exactly once overall; the
 predecessor CSR and each vectorized level are grouped by a sort, so the
 whole computation is O(n + m log m).
 
-The one loop, ``_drain``, runs on the integer-coded product of a game with
-an automaton whose transitions it reads inverted, without storing the
-product's edges.  It serves both the explicit games solved here, as their
-product with a one-state automaton, and the product route of
-``automaton._solve_flat``.
+The one loop, ``_drain``, runs on an explicit edge list.  It solves the
+games given here, and the product the chained-game fallback of
+``automaton._solve_product`` builds as objects for automata without a
+``pre`` kernel.
 """
 
 from __future__ import annotations
@@ -79,9 +78,7 @@ def _attract(vertex_count: int, srcs, dsts, eve_mask, seed) -> np.ndarray:
     Edge arrays keep the caller's integer dtype.  An Adam vertex is treated
     as an Eve vertex that needs a single edge into the set: its counter
     starts at 1.  A vertex without edges joins only as a seed, and the
-    seed's counters start at 0.  The game is drained as its product with a
-    one-state automaton: stride 1, every edge in group 0, whose preimage is
-    that state.
+    seed's counters start at 0; ``_drain`` does the rest.
     """
     seed = np.asarray(seed)
     if seed.size == 0:
@@ -92,63 +89,45 @@ def _attract(vertex_count: int, srcs, dsts, eve_mask, seed) -> np.ndarray:
     counter[~np.asarray(eve_mask, dtype=bool)] = 1
     counter[counter == 0] = 1
     counter[seed] = 0
-    ptr, states = np.array([0, 1]), np.zeros(1, dtype=np.int32)
-    _drain(counter, 1, srcs, np.asarray(dsts), np.zeros_like(srcs), ptr, states)
+    _drain(counter, srcs, np.asarray(dsts))
     return counter <= 0
 
 
-def _drain(counter, stride: int, base, dst, group, state_ptr, state_of) -> None:
-    """Adam's attractor, in place, on a product whose codes are ``v * stride
-    + t`` for game vertex v and automaton state t.
+def _drain(counter, src, dst) -> None:
+    """Adam's attractor, in place, on the game with edges ``src -> dst``.
 
-    ``counter[c]`` is the number of edges code c still needs into the
-    attractor, <= 0 once it is in; the codes at 0 are the seed.  The
-    product's edges are never stored: the j-th game edge, from v into
-    ``dst[j]`` = w, comes as its source's code base ``base[j]`` = v * stride
-    and its color's preimage group ``group[j]``, and the predecessors of
-    (w, t) along it are ``base[j] + q`` for the states q in
-    ``state_of[state_ptr[s] : state_ptr[s + 1]]``, s = ``group[j] + t``.
-
-    The edges are grouped by target once.  The seed level is swept at once;
-    then small frontiers are drained with a plain worklist, large ones with
-    one vectorized sweep per level (``_absorb``; same fixpoint either way).
-    Every code that joins has its predecessors generated exactly once.
+    ``counter[v]`` is the number of edges v still needs into the attractor,
+    <= 0 once it is in; the vertices at 0 are the seed.  The edges are
+    grouped by target once.  The seed level is swept at once; then small
+    frontiers are drained with a plain worklist, large ones with one
+    vectorized sweep per level (``_absorb``; same fixpoint either way).
+    Every vertex that joins has its predecessors listed exactly once.
     """
-    n = counter.size // stride
-    order = np.argsort(dst)
+    n = counter.size
     ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(dst, minlength=n), out=ptr[1:])
-    base = base[order]
-    group = group[order]
-    del order
+    pred = src[np.argsort(dst)]
 
     def preds(frontier: np.ndarray) -> np.ndarray:
-        w = frontier // stride
-        starts = ptr[w]
-        lens = ptr[w + 1] - starts
-        e = _slices(starts, lens, int(lens.sum()))
-        slot = group[e] + np.repeat(frontier - w * stride, lens)
-        starts = state_ptr[slot]
-        lens = state_ptr[slot + 1] - starts
-        return np.repeat(base[e], lens) + state_of[_slices(starts, lens, int(lens.sum()))]
+        starts = ptr[frontier]
+        lens = ptr[frontier + 1] - starts
+        return pred[_slices(starts, lens, int(lens.sum()))]
 
     pending = _absorb(counter, preds(np.flatnonzero(counter == 0)))
     # indexed as Python ints, without a copy
-    cnt, rp, bs, gr, sp, so = map(memoryview, (counter, ptr, base, group, state_ptr, state_of))
+    cnt, rp, pr = map(memoryview, (counter, ptr, pred))
     while len(pending):
         if len(pending) <= _SMALL_FRONTIER:
             if not isinstance(pending, list):
                 pending = pending.tolist()
-            w, t = divmod(pending.pop(), stride)
+            w = pending.pop()
             for j in range(rp[w], rp[w + 1]):
-                b, s = bs[j], gr[j] + t
-                for k in range(sp[s], sp[s + 1]):
-                    u = b + so[k]
-                    left = cnt[u]
-                    if left > 0:
-                        cnt[u] = left - 1
-                        if left == 1:
-                            pending.append(u)
+                u = pr[j]
+                left = cnt[u]
+                if left > 0:
+                    cnt[u] = left - 1
+                    if left == 1:
+                        pending.append(u)
             continue
         pending = _absorb(counter, preds(np.asarray(pending)))
 

@@ -5,9 +5,9 @@
   subtree at the priority's level, reading an even priority falls back to the
   leftmost leaf below the ancestor at its level.  The tree is stored as the
   sorted first leaves of each level's nodes, built on the first query; the
-  scalar ``delta`` bisects one level per call and the row kernel searches
-  whole arrays of states in it.  Both are monotone in leaf order, and the
-  ``pre`` kernel reads each level's node sizes instead of searching it.
+  scalar ``delta`` bisects one level per call.  It is monotone in leaf
+  order, and the ``pre`` kernel reads each level's node sizes instead of
+  searching the levels.
 
 * Mean payoff: a saturating counter over [0, (n-1)*N], started at the top;
   a letter is rejected exactly when it would push the counter below zero.
@@ -170,12 +170,11 @@ def parity_separator(n: int, max_priority: int) -> SafetyAutomaton:
     Priorities p and p + 1 (p even) read the same level, p // 2: the even
     one the first leaf of q's ancestor there, the odd one the first leaf of
     the next node on that level.  ``delta`` bisects the level's node starts
-    for one state; the row kernel searches them for a whole array of states
-    (-1 past the last leaf).  So the last leaf that even p moves to t or
-    below is the last leaf of t's node, and for odd p the leaf before the
-    node's first; the ``pre`` kernel repeats those per node over its leaves.
-    None of them builds anything at construction, so the state count alone
-    stays cheap at any size.
+    for one state.  So the last leaf that even p moves to t or below is the
+    last leaf of t's node, and for odd p the leaf before the node's first;
+    the ``pre`` kernel repeats those per node over its leaves.  Neither
+    builds anything at construction, so the state count alone stays cheap
+    at any size.
     """
     if n < 1 or max_priority < 0:
         raise InvalidGameError("parity separator needs n >= 1 and max_priority >= 0")
@@ -194,25 +193,6 @@ def parity_separator(n: int, max_priority: int) -> SafetyAutomaton:
 
     def state_label(q: int) -> str:
         return "(" + ",".join(str(x) for x in tree.leaf_tuple(q)) + ")"
-
-    def row_kernel(colors: Sequence[int]):
-        colors = list(colors)
-        # a level's node starts, then -1 for the node past the last one
-        bounds = {p >> 1: np.append(tree.levels[p >> 1], -1) for p in colors if p > 1}
-
-        def rows(qs) -> np.ndarray:
-            qs = np.asarray(qs, dtype=np.int64)
-            # per level, the index of each state's ancestor
-            node = {level: np.searchsorted(b[:-1], qs, "right") - 1 for level, b in bounds.items()}
-            out = np.empty((len(qs), len(colors)), dtype=np.int64)
-            for i, p in enumerate(colors):
-                if p > 1:
-                    out[:, i] = bounds[p >> 1][node[p >> 1] + (p & 1)]
-                else:  # the leaf itself, or the next leaf
-                    out[:, i] = np.where(qs + p < states, qs + p, -1)
-            return out
-
-        return rows
 
     def pre_kernel(colors: Sequence[int]) -> np.ndarray:
         colors = list(colors)
@@ -234,7 +214,6 @@ def parity_separator(n: int, max_priority: int) -> SafetyAutomaton:
         alphabet=Parity(max_priority),
         delta=delta,
         state_label=state_label,
-        row_kernel=row_kernel,
         pre_kernel=pre_kernel,
     )
 
@@ -263,22 +242,9 @@ def mp_separator(n: int, weight_bound: int) -> SafetyAutomaton:
         initial=top,
         alphabet=MeanPayoff(weight_bound),
         delta=delta,
-        row_kernel=lambda colors: _counter_rows(top, colors),
         rank=np.arange(top, -1, -1),
         pre_kernel=lambda colors: _counter_pre(top, colors),
     )
-
-
-def _counter_rows(top: int, weights: Sequence[int]):
-    """Row kernel of a counter saturating at ``top``: the sum of state and
-    weight, capped at ``top``, and -1 below zero."""
-    weights = np.asarray(weights, dtype=np.int64)
-
-    def rows(states: np.ndarray) -> np.ndarray:
-        s = np.asarray(states, dtype=np.int64)[:, None] + weights
-        return np.where(s < 0, -1, np.minimum(s, top))
-
-    return rows
 
 
 def _counter_pre(top: int, weights: Sequence[int]) -> np.ndarray:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
+
 from sepgames import ADAM, EVE, Game, Graph, SafetyAutomaton
 
 
@@ -172,6 +174,50 @@ def staged_run_defined(a1: SafetyAutomaton, a2: SafetyAutomaton, word) -> bool:
         q = t
         i += 1
     return True
+
+
+# ---------------------------------------------------------------------------
+# Transition tables and the pre they give (what pre kernels must equal)
+# ---------------------------------------------------------------------------
+
+
+def transition_table(aut: SafetyAutomaton, colors):
+    """The whole states x colors int32 transition table, one scalar
+    ``delta`` call per entry.  Where ``delta`` is undefined it holds
+    ``state_count``, the losing sink, which stays above every state in
+    every order."""
+    nq, colors = aut.state_count, list(colors)
+    table = [[nq if (t := aut.delta(q, c)) is None else t for c in colors] for q in range(nq)]
+    return np.array(table, dtype=np.int32).reshape(nq, len(colors))
+
+
+def ranked(table, rank):
+    """A transition table renumbered by ``rank``: row ``rank[q]`` holds the
+    ranks of q's successors, the sink ``state_count`` ranking last.  The
+    table itself when ``rank`` is ``None``."""
+    if rank is None:
+        return table
+    return np.append(rank, len(rank)).astype(np.int32)[table[np.argsort(rank)]]
+
+
+def is_monotone(table) -> bool:
+    """Is every column of a transition table non-decreasing in the state?"""
+    return all((column[1:] >= column[:-1]).all() for column in table.T)
+
+
+def pre_table(table):
+    """``pre(c, t)`` of a monotone transition table: the largest state q with
+    ``table[q, c] <= t`` (-1 if none), for the i-th color c and every t in
+    [-1, nq), as an int32 array indexed ``i * (nq + 1) + t + 1``.  The
+    states with ``table[q, c] <= t`` are a prefix, so ``pre(c, t)`` is their
+    number - 1, a running count of the column's values."""
+    nq, ncol = table.shape
+    pre = np.empty((ncol, nq + 1), dtype=np.int32)
+    pre[:, 0] = -1
+    for i, column in enumerate(table.T):
+        np.cumsum(np.bincount(column, minlength=nq + 1)[:nq], out=pre[i, 1:])
+        pre[i, 1:] -= 1
+    return pre.ravel()
 
 
 # ---------------------------------------------------------------------------

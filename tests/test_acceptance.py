@@ -371,7 +371,7 @@ def test_criterion_7_scaling_smoke():
             constant = float(line.rsplit("c =", 1)[1].strip())
     assert constant is not None
     rows = [line.split("\t") for line in lines if line and not line.startswith("#")]
-    assert rows[0] == ["n", "d", "N", "states", "product_states", "ms"]
+    assert rows[0] == ["n", "d", "N", "states", "path", "ms"]
     disj_rows = [r for r in rows[1:] if r[1] != "-"]
     safety_rows = [r for r in rows[1:] if r[1] == "-"]
     assert [int(r[0]) for r in disj_rows] == [50, 100, 200, 400]
@@ -381,6 +381,7 @@ def test_criterion_7_scaling_smoke():
         n, d, big_n, states = int(r[0]), int(r[1]), int(r[2]), int(r[3])
         assert states == disjmp_state_count(n, d, big_n)
         assert states <= constant * n * math.log2(n + 1) * d * big_n + 1e-6
+        assert r[4] == "lifts"
         times[n] = float(r[5])
 
     # cubic guard: each doubling of n may cost at most 8x (with a noise floor)

@@ -32,7 +32,7 @@ from sepgames import (
     solve_via_separating,
 )
 from sepgames import automaton
-from sepgames.automaton import _preimages, _solve_cascade, _solve_flat, _solve_lifts, _transition_table
+from sepgames.automaton import _solve_cascade, _solve_lifts, _solve_product, _solve_roots
 from sepgames.frontend import build_separator, generate_game
 
 
@@ -356,11 +356,12 @@ def _kernelless_chain(rng):
 
 
 def test_flat_and_object_paths_agree():
-    # the flat solve's implicit predecessors against the safety solver on
-    # the product decoded by chained_game, from every root: all four
-    # families and a chain without a row kernel, on games with dead ends of
-    # both owners; its attracted count and the root's verdict against the
-    # full product's, solved by the reference outside the shared attractor
+    # the product solve from all roots at once against the safety solver on
+    # the product chained_game builds from each root alone: all four
+    # families and a chain without a pre kernel, on games with dead ends of
+    # both owners; its sizes against a plain BFS and separator_stats, and
+    # its attracted count and the root's verdict against the full product's,
+    # solved by the reference outside the shared attractor
     from conftest import random_objective
 
     rng = random.Random(13)
@@ -375,19 +376,23 @@ def test_flat_and_object_paths_agree():
                 aut = build_separator(obj, n)
             game = generate_game(n, 0, 3, obj, seed=rng.randrange(10**9))
             nq = aut.state_count
-            flags, stats = _solve_flat(game, aut, list(range(n)))
-            assert stats["product_states"] == n * nq + 1
+            flags, stats = _solve_product(game, aut, list(range(n)))
+            assert stats["product_states"] == separator_stats(aut, game=game)["product_states"]
             for v in range(n):
                 chain = chained_game(game, aut, v)
                 won = chain.product_vertex(v, aut.initial) in solve_safety(chain.game).eve_wins
-                single, single_stats = _solve_flat(game, aut, [v])
+                single, single_stats = _solve_product(game, aut, [v])
                 assert bool(flags[v]) == bool(single[0]) == won
+                reached, sink = _reached_pairs(game, aut, [v])
+                assert single_stats["product_states"] == len(reached) + sink
                 cone = _cone_vertices(game, [v])
-                assert single_stats["product_states"] == len(cone) * nq + 1
                 if len(cone) * nq <= 400:
                     full = _full_product(game, aut, cone)
                     region = refs.naive_safety_region(full)
-                    assert single_stats["attracted"] == full.vertex_count - len(region)
+                    # the reached codes are closed under successors, so the
+                    # full product's region on them is the chained game's
+                    codes = {cone.index(w) * nq + q for w, q in reached} | ({len(cone) * nq} if sink else set())
+                    assert single_stats["attracted"] == len(codes - region)
                     assert (cone.index(v) * nq + aut.initial in region) == won
             assert frozenset(v for v in range(n) if flags[v]) == separating_winning_region(game, aut)
             dead_ends |= {game.owner[v] for v in range(n) if not game.graph.successors[v]}
@@ -395,9 +400,9 @@ def test_flat_and_object_paths_agree():
 
 
 def test_flat_product_same_under_either_frontier_branch(monkeypatch):
-    # the shared attractor drains a small frontier with a worklist and a
-    # large one by vectorized levels: forcing either branch throughout must
-    # not change a parity-mp verdict or stat
+    # the safety solver's attractor drains a small frontier with a worklist
+    # and a large one by vectorized levels: forcing either branch throughout
+    # must not change a verdict or stat of the parity-mp product route
     from conftest import random_objective
 
     from sepgames import safety
@@ -413,8 +418,8 @@ def test_flat_product_same_under_either_frontier_branch(monkeypatch):
         runs = []
         for threshold in (0, 10**9):
             monkeypatch.setattr(safety, "_SMALL_FRONTIER", threshold)
-            flags, stats = _solve_flat(game, aut, roots)
-            runs.append((flags.tolist(), stats))
+            flags, stats = _solve_product(game, aut, roots)
+            runs.append((flags, stats))
         assert runs[0] == runs[1]
         verdicts.add(frozenset(runs[0][0]))
     assert frozenset({True, False}) in verdicts
@@ -434,34 +439,9 @@ def test_rank_must_be_a_permutation_of_the_states():
     assert dataclasses.replace(aut, rank=[4, 2, 0, 1, 3]).rank == [4, 2, 0, 1, 3]
 
 
-def test_preimages_list_each_state_and_color_once():
-    # every (q, i) under table[q, i], the sink nq where undefined
-    from sepgames import ParityOrMeanPayoff
-    from sepgames.automaton import _game_colors
-
-    rng = random.Random(742)
-    tables = []
-    for _ in range(60):
-        nq, ncol = rng.randint(1, 9), rng.randint(0, 5)
-        cells = [rng.randrange(nq + 1) for _ in range(nq * ncol)]
-        tables.append(np.array(cells, dtype=np.int32).reshape(nq, ncol))
-    game = generate_game(6, 1, 3, ParityOrMeanPayoff(3, 2), seed=743)
-    aut = build_separator(game.objective, 6)
-    tables.append(_transition_table(aut, _game_colors(game.graph)))
-    for table in tables:
-        nq, ncol = table.shape
-        ptr, states = _preimages(table)
-        assert ptr.size == ncol * (nq + 1) + 1 and states.dtype == np.int32
-        listed = sorted((int(q), g) for g in range(ncol * (nq + 1)) for q in states[ptr[g] : ptr[g + 1]])
-        expected = sorted(
-            (q, i * (nq + 1) + t) for q in range(nq) for i, t in enumerate(table[q].tolist())
-        )
-        assert listed == expected
-
-
 def _flat_region(game, aut):
     n = game.vertex_count
-    flags, _ = _solve_flat(game, aut, list(range(n)))
+    flags, _ = _solve_product(game, aut, list(range(n)))
     return frozenset(v for v in range(n) if flags[v])
 
 
@@ -494,32 +474,19 @@ def test_flat_parity_mp_with_negative_weights_is_parity_above_object_limit():
             assert _flat_region(game, aut) == refs.zielonka_region(base)
 
 
-def test_flat_row_kernel_matches_scalar_fill_above_object_limit():
-    # the same flat solve with the table filled by the kernel and by delta
-    from sepgames import ParityOrMeanPayoff
-
-    rng = random.Random(734)
-    for n, d, N in ((16, 3, 2), (14, 4, 2)):
-        game = generate_game(n, 1, 3, ParityOrMeanPayoff(d, N), seed=rng.randrange(10**9))
-        assert {w for (_, (_, w), _) in game.graph.edges} >= {-N, N}
-        aut = build_separator(game.objective, n)
-        scalar = dataclasses.replace(aut, row_kernel=None)
-        assert aut.row_kernel is not None
-        assert _flat_region(game, aut) == _flat_region(game, scalar)
-        roots = list(range(n))
-        assert _solve_flat(game, aut, roots)[1] == _solve_flat(game, scalar, roots)[1]
-
-
 def test_chain_with_a_kernelless_block_falls_back_to_delta():
     rng = random.Random(735)
     for _ in range(20):
         table = {(q, c): rng.randrange(2) for q in range(2) for c in (-1, 0, 1) if rng.random() < 0.7}
         aut = sequential_fold([mp_separator(3, 1), _table_automaton(2, 0, table)])
-        assert aut.row_kernel is None
+        assert aut.pre_kernel is None
         n = rng.randint(1, 5)
         game = generate_game(n, 0, 3, MeanPayoff(1), seed=rng.randrange(10**9))
-        flags, _ = _solve_flat(game, aut, list(range(n)))
-        assert frozenset(v for v in range(n) if flags[v]) == separating_winning_region(game, aut)
+        region, stats = separating_winning_region(game, aut, with_stats=True)
+        assert stats["path"] == "product"
+        for v in range(n):
+            chain = chained_game(game, aut, v)
+            assert (v in region) == (chain.product_vertex(v, aut.initial) in solve_safety(chain.game).eve_wins)
 
 
 def _flags_region(flags):
@@ -541,12 +508,12 @@ def test_lifts_match_flat_product_and_recursive_solver():
         assert stats["path"] == "lifts"
         # every vertex with an edge is lifted at least once
         assert stats["vertex_lifts"] >= len({u for (u, _, _) in game.graph.edges})
-        assert _flags_region(lifts) == _flags_region(_solve_flat(game, aut, roots)[0])
+        assert _flags_region(lifts) == _flags_region(_solve_product(game, aut, roots)[0])
         assert _flags_region(lifts) == refs.zielonka_region(game)
-        scalar = dataclasses.replace(aut, row_kernel=None, pre_kernel=None)
-        assert _flags_region(_solve_lifts(game, scalar, roots)[0]) == _flags_region(lifts)
+        scalar, scalar_stats = _solve_roots(game, dataclasses.replace(aut, pre_kernel=None), roots)
+        assert scalar_stats["path"] == "product" and _flags_region(scalar) == _flags_region(lifts)
         # repeated roots, in any order, and none, on both routes
-        for solve in (_solve_lifts, _solve_flat):
+        for solve in (_solve_lifts, _solve_product):
             assert list(map(bool, solve(game, aut, [n - 1, 0, n - 1])[0])) == [lifts[n - 1], lifts[0], lifts[n - 1]]
             assert list(solve(game, aut, [])[0]) == []
 
@@ -568,7 +535,7 @@ def test_ranked_counter_lifts_match_flat_product_and_value_iteration():
             lifts, stats = _solve_lifts(game, aut, roots)
             assert stats["path"] == "lifts"
             region = _flags_region(lifts)
-            assert region == _flags_region(_solve_flat(game, aut, roots)[0])
+            assert region == _flags_region(_solve_product(game, aut, roots)[0])
             if isinstance(objective, MeanPayoff):
                 assert region == refs.mp_value_iteration_region(game)
                 signs |= {(c > 0) - (c < 0) for (_, c, _) in game.graph.edges}
@@ -595,10 +562,10 @@ def test_lifts_solve_only_the_cone_of_the_roots():
 def test_route_follows_size_and_monotonicity():
     from sepgames import MeanPayoffDisjunction, Parity, ParityOrMeanPayoff
 
-    # one rule at every size: parity-mp as a cascade, lifts when the table
-    # is monotone in the automaton's rank order, the product otherwise;
-    # counters rank from the top down, so mean payoff and its disjunctions
-    # take lifts too, and parity-mp without its cascade parts the product
+    # one rule at every size: parity-mp as a cascade, lifts on a pre
+    # kernel, the product otherwise; counters rank from the top down, so
+    # mean payoff and its disjunctions take lifts too, and parity-mp
+    # without its cascade parts the product
     cases = (
         (Parity(4), 5, "lifts"),
         (Parity(8), 60, "lifts"),
@@ -616,7 +583,7 @@ def test_route_follows_size_and_monotonicity():
         region, stats = separating_winning_region(game, aut, with_stats=True)
         assert stats["path"] == path
         assert solve_via_separating(game, 0, aut) == (0 in region)
-        assert region == _flags_region(_solve_flat(game, aut, list(range(n)))[0])
+        assert region == _flags_region(_solve_product(game, aut, list(range(n)))[0])
     # a counter's column in state order decreases on a negative weight only,
     # in rank order on none
     for weights, n in ((range(0, 7), 100), (range(-6, 7), 100), (range(-6, 7), 6)):
@@ -626,7 +593,7 @@ def test_route_follows_size_and_monotonicity():
         aut = build_separator(game.objective, n)
         region, stats = separating_winning_region(game, aut, with_stats=True)
         assert stats["path"] == "lifts"
-        assert region == _flags_region(_solve_flat(game, aut, list(range(n)))[0])
+        assert region == _flags_region(_solve_product(game, aut, list(range(n)))[0])
 
 
 def test_cascade_matches_flat_product_and_chained_game():
@@ -651,7 +618,7 @@ def test_cascade_matches_flat_product_and_chained_game():
         flags, stats = _solve_cascade(game, aut, list(range(n)))
         assert stats["path"] == "cascade" and stats["automaton_states"] == aut.state_count
         assert stats["key_product_states"] <= n * stats["key_states"]
-        assert list(map(bool, flags)) == list(map(bool, _solve_flat(game, aut, list(range(n)))[0]))
+        assert list(map(bool, flags)) == _solve_product(game, aut, list(range(n)))[0]
         # repeated roots, in any order, and none
         assert _solve_cascade(game, aut, [n - 1, 0, n - 1])[0] == [flags[n - 1], flags[0], flags[n - 1]]
         assert _solve_cascade(game, aut, [])[0] == []
@@ -659,7 +626,7 @@ def test_cascade_matches_flat_product_and_chained_game():
             single, single_stats = _solve_cascade(game, aut, [v])
             chain = chained_game(game, aut, v)
             won = chain.product_vertex(v, aut.initial) in solve_safety(chain.game).eve_wins
-            assert bool(single[0]) == bool(flags[v]) == bool(_solve_flat(game, aut, [v])[0][0]) == won
+            assert bool(single[0]) == bool(flags[v]) == _solve_product(game, aut, [v])[0][0] == won
             assert single_stats["key_product_states"] <= stats["key_product_states"]
         dead_ends |= {game.owner[v] for v in range(n) if not game.graph.successors[v]}
         bounds.add(game.objective.weight_bound)
@@ -719,9 +686,9 @@ def test_lifts_leave_the_cyclic_collector_as_they_found_it():
 
 
 def test_cascade_reads_any_parity_part_and_falls_back_without_order():
-    # the cascade treats the parity part as a black box: a part whose table
-    # is not monotone sends the solve to the product route, and a ranked
-    # one is read in its rank order
+    # the cascade treats the parity part as a black box: a part without a
+    # pre kernel sends the solve to the product route, and a ranked one is
+    # read in its rank order
     from sepgames import Parity, ParityOrMeanPayoff, parity_mp_separator, parity_separator
 
     rng = random.Random(747)
@@ -737,7 +704,6 @@ def test_cascade_reads_any_parity_part_and_falls_back_without_order():
             base,
             initial=base.state_count - 1,
             delta=lambda q, p, k=base.state_count - 1: None if (t := base.delta(k - q, p)) is None else k - t,
-            row_kernel=None,
             rank=np.arange(base.state_count)[::-1].copy(),
         )
         for parity in (scrambled, reversed_order):
@@ -749,6 +715,44 @@ def test_cascade_reads_any_parity_part_and_falls_back_without_order():
                 won = chain.product_vertex(v, aut.initial) in solve_safety(chain.game).eve_wins
                 assert (v in region) == won
     assert seen == {"cascade", "product"}
+
+
+def test_families_without_their_kernels_solve_on_the_object_product():
+    # parity, mean payoff and disj-mp without their pre kernels, parity-mp
+    # without its cascade parts: each takes the product route, to the region
+    # of its kernel route and of a reference (Zielonka, value iteration, or
+    # brute force on the two combined objectives), from all roots, one root,
+    # repeated roots and none, on games with dead ends of both owners
+    from conftest import random_objective
+    from sepgames import eve_winning_region_bruteforce
+
+    references = {
+        "parity": refs.zielonka_region,
+        "mp": refs.mp_value_iteration_region,
+        "parity-mp": eve_winning_region_bruteforce,
+        "disj-mp": eve_winning_region_bruteforce,
+    }
+    rng = random.Random(750)
+    dead_ends = set()
+    for kind, reference in references.items():
+        strip = {"cascade": None} if kind == "parity-mp" else {"pre_kernel": None}
+        for _ in range(15):
+            n = rng.randint(1, 5)
+            objective = random_objective(rng, kind)
+            game = generate_game(n, 0, 3, objective, seed=rng.randrange(10**9))
+            aut = build_separator(objective, n)
+            bare = dataclasses.replace(aut, **strip)
+            region, stats = separating_winning_region(game, aut, with_stats=True)
+            assert stats["path"] == ("cascade" if kind == "parity-mp" else "lifts")
+            bare_region, bare_stats = separating_winning_region(game, bare, with_stats=True)
+            assert bare_stats["path"] == "product"
+            assert bare_stats["product_states"] == separator_stats(bare, game=game)["product_states"]
+            assert bare_region == region == reference(game)
+            for roots in ([0], [n - 1], [n - 1, 0, n - 1], []):
+                flags, stats = _solve_roots(game, bare, roots)
+                assert stats["path"] == "product" and flags == [v in region for v in roots]
+            dead_ends |= {game.owner[v] for v in range(n) if not game.graph.successors[v]}
+    assert dead_ends == {EVE, ADAM}
 
 
 def test_lift_counts_of_the_pinned_benchmark_games():
@@ -828,8 +832,8 @@ def _reached_pairs(game, aut, roots):
 def test_flat_product_states_count_reached_pairs():
     # the walk reaches exactly the pairs a plain BFS does: from all roots
     # (separator_stats) and from one (chained_game); each reached pair but
-    # the sink has one product edge per game edge; the flat solve spans
-    # every code of the roots' cone
+    # the sink has one product edge per game edge; the product solve counts
+    # the same pairs, from one root and from all
     from sepgames import MeanPayoffDisjunction, Parity
 
     rng = random.Random(733)
@@ -843,9 +847,11 @@ def test_flat_product_states_count_reached_pairs():
         reached, sink = _reached_pairs(game, aut, [0])
         assert chained_game(game, aut, 0).game.vertex_count == len(reached) + sink
         for roots in ([0], list(range(n))):
-            _, stats = _solve_flat(game, aut, roots)
-            assert stats["product_states"] == len(_cone_vertices(game, roots)) * aut.state_count + 1
-            assert 0 < stats["attracted"] <= stats["product_states"]
+            _, stats = _solve_product(game, aut, roots)
+            reached, sink = _reached_pairs(game, aut, roots)
+            assert stats["product_states"] == len(reached) + sink
+            assert sink <= stats["attracted"] <= stats["product_states"]
+        assert stats["product_states"] == separator_stats(aut, game=game)["product_states"]
 
 
 def test_parity_reduction_matches_recursive_solver_at_medium_scale():

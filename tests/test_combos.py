@@ -419,11 +419,11 @@ def test_disjmp_degenerate_projection_at_medium_scale():
 
 
 def test_disjmp_flat_pipeline_matches_value_iteration_at_scale():
-    # products of over 50k pairs, solved by the flat pipeline and by the
+    # products of over 50k pairs, solved by the product route and by the
     # routed solver (lifts); pinning the extra components keeps an
     # independent oracle viable
     from sepgames import Game, MeanPayoff, separating_winning_region
-    from sepgames.automaton import _solve_flat
+    from sepgames.automaton import _solve_product
     from sepgames.frontend import build_separator, generate_game
 
     rng = random.Random(608)
@@ -440,7 +440,7 @@ def test_disjmp_flat_pipeline_matches_value_iteration_at_scale():
         )
         aut = build_separator(pinned.objective, n)
         region = separating_winning_region(pinned, aut)
-        flags, _ = _solve_flat(pinned, aut, list(range(n)))
+        flags, _ = _solve_product(pinned, aut, list(range(n)))
         assert region == frozenset(v for v in range(n) if flags[v])
         mp_game = Game(
             Graph(n, tuple((u, vec[0], v) for (u, vec, v) in pinned.graph.edges)),

@@ -1,13 +1,12 @@
-"""Row kernels against the scalar ``delta``, entry by entry, and ``pre``
-kernels against the filled table's ``pre``.
+"""The kernels the solver reads against the scalar ``delta``, entry by
+entry.
 
-Every library separator evaluates its transitions two ways: ``delta`` one
-(state, color) at a time, and ``row_kernel`` for whole arrays of states.
-The kernel must agree with ``delta`` on every state and every color, with
--1 where ``delta`` is undefined; the solvers' transition table holds the
-same entries, with ``state_count`` (the losing sink) in place of -1.  The
-``pre_kernel`` the solver reads instead of that table must give exactly
-the ``pre`` read off it, ``_pre_table`` of the table in rank order.
+Every library separator evaluates its transitions one (state, color) at a
+time with ``delta``; the solver reads kernels built from the automaton's
+structure instead.  A ``pre_kernel`` must give exactly the ``pre`` read off
+the transition table ``delta`` fills, in rank order (``refs.pre_table``),
+and the cascade's key table (``automaton._key_table``) must move as
+``delta`` does on the parity-or-mean-payoff separator it splits.
 """
 
 import dataclasses
@@ -16,6 +15,7 @@ import random
 import numpy as np
 import pytest
 
+import refs
 from sepgames import (
     MeanPayoff,
     MeanPayoffDisjunction,
@@ -32,7 +32,7 @@ from sepgames import (
     separating_winning_region,
     sequential_product,
 )
-from sepgames.automaton import _is_monotone, _pre_table, _ranked, _solve_flat, _transition_table
+from sepgames.automaton import _key_table, _solve_product
 from sepgames.frontend import build_separator
 
 
@@ -44,21 +44,42 @@ def _scalar_table(aut, colors, states):
 
 
 def _assert_kernel_is_delta(aut):
-    assert aut.row_kernel is not None
+    # a pre kernel on every color, on colors reordered with repeats and on
+    # a subset; a cascade's key table on every color; a chain with neither
+    # through its blocks'
     colors = list(aut.alphabet.colors())
-    rows = aut.row_kernel(colors)
-    every = np.arange(aut.state_count)
-    kernel = rows(every)
-    assert np.array_equal(kernel, _scalar_table(aut, colors, every))
-    table = _transition_table(aut, colors)
-    assert np.array_equal(table, np.where(kernel < 0, aut.state_count, kernel))
-    # arbitrary order with repeats, and a subset of the colors
-    rng = random.Random(aut.state_count)
-    shuffled = np.array([rng.randrange(aut.state_count) for _ in range(2 * aut.state_count)])
-    subset = colors[::-2]
-    assert np.array_equal(
-        aut.row_kernel(subset)(shuffled), _scalar_table(aut, subset, shuffled.tolist())
-    )
+    if aut.pre_kernel is not None:
+        rng = random.Random(aut.state_count)
+        for subset in (colors, rng.choices(colors, k=2 * len(colors)), colors[::-2]):
+            _assert_pre_kernel_is_table_pre(aut, subset)
+    elif aut.cascade is not None:
+        _assert_key_table_is_delta(aut, colors)
+    else:
+        assert aut.parts is not None
+        for block in aut.parts:
+            _assert_kernel_is_delta(block)
+
+
+def _assert_key_table_is_delta(aut, colors):
+    # state (m, q, k) for accumulated priority m, parity state q and counter
+    # state k: the key (m, k) moves and q stays, or the key resets and q
+    # reads the letter of the key table
+    parity, counter = aut.cascade
+    d, nk = parity.alphabet.max_priority, counter.state_count
+    keys, letters = _key_table(counter, d, colors)
+    assert keys.shape == letters.shape == ((d + 1) * nk, len(colors))
+    for s in range(aut.state_count):
+        m, rest = divmod(s, parity.state_count * nk)
+        q, k = divmod(rest, nk)
+        key = m * nk + k
+        for i, c in enumerate(colors):
+            letter = int(letters[key, i])
+            if letter > d:
+                expected = (keys[key, i] // nk * parity.state_count + q) * nk + keys[key, i] % nk
+            else:
+                t = parity.delta(q, letter)
+                expected = None if t is None else t * nk + keys[key, i]
+            assert aut.delta(s, c) == expected
 
 
 @pytest.mark.parametrize("d", [0, 1, 3, 8])
@@ -103,8 +124,8 @@ def test_parity_delta_is_monotone_in_leaf_order(n, d):
         undefined = column < 0
         assert undefined[np.argmax(undefined) :].all() or not undefined.any()
         assert (np.diff(column[~undefined]) >= 0).all()
-    # and the solver's check, on the table its route fills, agrees
-    assert _is_monotone(_transition_table(aut, list(aut.alphabet.colors())))
+    # and the reference check, on the table delta fills, agrees
+    assert refs.is_monotone(refs.transition_table(aut, aut.alphabet.colors()))
 
 
 def test_pre_table_is_the_last_state_at_or_below_each_rank():
@@ -121,8 +142,8 @@ def test_pre_table_is_the_last_state_at_or_below_each_rank():
             columns.append(sorted(rng.randrange(nq) for _ in range(nq - undefined)) + [nq] * undefined)
             sinks.add(min(undefined, 2))
         table = np.array(columns, dtype=np.int32).T.reshape(nq, ncol)
-        assert _is_monotone(table)
-        pre = _pre_table(table)
+        assert refs.is_monotone(table)
+        pre = refs.pre_table(table)
         assert pre.dtype == np.int32 and pre.size == ncol * (nq + 1)
         for i, column in enumerate(columns):
             for t in range(-1, nq):
@@ -141,8 +162,8 @@ def test_parity_tree_levels_are_built_on_first_query_only(monkeypatch):
     assert parity_separator(10**6, 20).state_count == 5_119_738_089_749
     aut = parity_separator(40, 8)
     assert calls == []
-    aut.row_kernel([0, 3])
-    aut.row_kernel([8])
+    aut.pre_kernel([0, 3])
+    aut.pre_kernel([8])
     aut.delta(0, 3)
     assert calls == [(40, 4)]
 
@@ -179,11 +200,11 @@ def test_counter_ranks_order_delta_monotonically(aut):
     # in which value iteration sees a monotone table
     assert aut.rank is not None
     assert sorted(aut.rank.tolist()) == list(range(aut.state_count))
-    table = _transition_table(aut, list(aut.alphabet.colors()))
-    assert _is_monotone(_ranked(table, aut.rank))
+    table = refs.transition_table(aut, aut.alphabet.colors())
+    assert refs.is_monotone(refs.ranked(table, aut.rank))
     if aut.state_count > 1:
         # in state order a negative weight leaves the low counters undefined
-        assert not _is_monotone(table)
+        assert not refs.is_monotone(table)
 
 
 def test_parity_and_parity_mp_keep_state_order():
@@ -201,7 +222,7 @@ def _assert_pre_kernel_is_table_pre(aut, colors):
     colors = list(colors)
     pre = aut.pre_kernel(colors)
     assert pre.dtype == np.int32 and pre.shape == (len(colors) * (aut.state_count + 1),)
-    assert np.array_equal(pre, _pre_table(_ranked(_transition_table(aut, colors), aut.rank)))
+    assert np.array_equal(pre, refs.pre_table(refs.ranked(refs.transition_table(aut, colors), aut.rank)))
 
 
 def _color_lists(aut):
@@ -262,33 +283,34 @@ def test_chain_without_a_first_ranked_initial_has_no_pre_kernel():
         sequential_product(inner, parity_separator(3, 2)),
         naive_general_separator(dataclasses.replace(mp_separator(3, 1), initial=0), 2),
     ):
-        assert aut.pre_kernel is None and aut.row_kernel is not None
-    # the table route still solves them, by the lifts where the table is
-    # monotone, else by the product
+        assert aut.pre_kernel is None
+    # the product route solves them, from every root at once as from each
+    # root alone
     game = generate_game(5, 1, 3, Parity(2), seed=748)
     aut = sequential_product(parity_separator(3, 2), inner)
-    assert separating_winning_region(game, aut) == _flat_region(game, aut)
+    region, stats = separating_winning_region(game, aut, with_stats=True)
+    assert stats["path"] == "product"
+    assert region == frozenset(v for v in range(5) if _solve_product(game, aut, [v])[0][0])
 
 
-def _flat_region(game, aut):
-    flags, _ = _solve_flat(game, aut, list(range(game.vertex_count)))
-    return frozenset(v for v, f in enumerate(flags) if f)
+def _product_region(game, aut):
+    flags, _ = _solve_product(game, aut, list(range(game.vertex_count)))
+    return frozenset(v for v in range(game.vertex_count) if flags[v])
 
 
 def test_package_separators_solve_without_a_transition_table(monkeypatch):
     # parity, mean payoff and disj-mp by the lifts on their pre kernels,
-    # parity-mp by the cascade on its parity part's kernel: none fills,
-    # ranks or checks a table
+    # parity-mp by the cascade on its parity part's kernel: none reaches
+    # the product route, which agrees with them
     def refused(*args, **kwargs):
-        raise AssertionError("a table was built")
+        raise AssertionError("the product route was taken")
 
     rng = random.Random(749)
     for objective in (Parity(6), MeanPayoff(2), ParityOrMeanPayoff(3, 2), MeanPayoffDisjunction(2, 2)):
         game = generate_game(12, 1, 3, objective, seed=rng.randrange(10**9))
         aut = build_separator(objective, 12)
         with monkeypatch.context() as patch:
-            for name in ("_transition_table", "_ranked", "_is_monotone"):
-                patch.setattr(automaton, name, refused)
+            patch.setattr(automaton, "_solve_product", refused)
             region, stats = separating_winning_region(game, aut, with_stats=True)
         assert stats["path"] == ("cascade" if isinstance(objective, ParityOrMeanPayoff) else "lifts")
-        assert region == _flat_region(game, aut)
+        assert region == _product_region(game, aut)
