@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 
@@ -17,13 +18,16 @@ from sepgames import (
     MeanPayoff,
     MeanPayoffDisjunction,
     Parity,
+    ParityOrMeanPayoff,
     Path,
     PositionalStrategy,
+    Safety,
     accepts_all_paths,
     build_separator,
     find_negative_cycle,
     graph_satisfies_mp,
     graph_satisfies_parity,
+    reachable_graph,
     restrict_to_strategy,
     scc_decompose,
 )
@@ -81,6 +85,53 @@ def test_game_names_the_first_edge_with_a_rejected_color():
 def test_game_needs_owner_per_vertex():
     with pytest.raises(InvalidGameError):
         Game(Graph(2, []), (EVE,), MeanPayoff(1))
+
+
+# probes for color_error: in and out of range, bools, floats, a string,
+# tuples of every length up to 3 (some holding a bool or a float), a list
+_COLOR_PROBES = [
+    None, 0, 1, 2, 4, 5, -1, -2, -3, True, False, 1.0, "1", (), (0,), (1,), (0, 0), (2, -1),
+    (5, 0), (0, 3), (0, 0, 0), (1, -1, 1), (True, 0), (0, False), (0, 1.0), (1.0, 0), [0, 0],
+]
+
+
+def _digest(x) -> str:
+    return hashlib.sha256(repr(x).encode()).hexdigest()[:16]
+
+
+def test_objective_descriptors_are_pinned():
+    # per objective: its color arity, a digest of its colors in order, its
+    # color_error on every probe and 30 random draws, and a digest of its
+    # separator's reduced induced graph at n = 1 and n = 3 (None for safety,
+    # which has no separator)
+    pinned = [
+        (Safety(), 0, "8e0f64ac8991eeab", None),
+        (Parity(0), 1, "6f04ee5fa74b7f4d", "e7b59dc38171aee1"),
+        (Parity(1), 1, "a09b683de0194415", "7207151d988dbcf5"),
+        (Parity(4), 1, "bfa0c27052108174", "fe0d180574c6889b"),
+        (MeanPayoff(0), 1, "bea5e474e7a0ef8e", "e7b59dc38171aee1"),
+        (MeanPayoff(2), 1, "0ebd7ceaee194eac", "27672861300468d0"),
+        (ParityOrMeanPayoff(0, 0), 2, "cb372ff1a863fe32", "7341165bebd201f5"),
+        (ParityOrMeanPayoff(3, 1), 2, "5d31df4c32af1397", "21a020f3caf1c933"),
+        (ParityOrMeanPayoff(2, 2), 2, "72a74d6e25566bcb", "508cc54cbb34c0e1"),
+        (MeanPayoffDisjunction(1, 0), 1, "8c6aeb2d1dcd445b", "903426291a3dd711"),
+        (MeanPayoffDisjunction(2, 1), 2, "a2874b46c6ab4dfc", "168ba7ebe81ed27b"),
+        (MeanPayoffDisjunction(3, 1), 3, "a30b749ddee83bed", "93c504edd5fdf851"),
+    ]
+    for objective, arity, colors_digest, separator_digest in pinned:
+        colors = list(objective.colors())
+        assert objective.alphabet_size == len(colors), objective
+        assert objective.color_arity == arity, objective
+        rng = random.Random(7)
+        record = (
+            colors,
+            [objective.color_error(c) for c in _COLOR_PROBES],
+            [objective.random_color(rng) for _ in range(30)],
+        )
+        assert _digest(record) == colors_digest, objective
+        if separator_digest is not None:
+            graphs = [reachable_graph(build_separator(objective, n)).edges for n in (1, 3)]
+            assert _digest(graphs) == separator_digest, objective
 
 
 def test_path_and_lasso_validation():
