@@ -62,11 +62,7 @@ from .core import (
     Game,
     Graph,
     InvalidGameError,
-    MeanPayoff,
-    MeanPayoffDisjunction,
     Objective,
-    Parity,
-    ParityOrMeanPayoff,
     Safety,
     _first_color_error,
 )
@@ -363,7 +359,6 @@ class ChainedGame:
     roots: tuple
     product_pairs: tuple
     edge_origin: tuple
-    source: Game
 
     def product_vertex(self, v: int, q: int) -> int:
         return self.state_ids[(v, q)]
@@ -409,7 +404,6 @@ def _chained(game: Game, aut: SafetyAutomaton, roots: Sequence[int]) -> ChainedG
         roots=tuple(ids[v * nq + aut.initial] for v in roots),
         product_pairs=pairs,
         edge_origin=tuple(edges.values()),
-        source=game,
     )
 
 
@@ -767,35 +761,20 @@ def separating_winning_region(game: Game, aut: SafetyAutomaton, with_stats: bool
 
 def _reduce_edges(alphabet: Objective, raw: list) -> list:
     """Collapse parallel transitions to representatives that preserve every
-    cycle-structure check: exact priorities are kept, weights are minimized
-    (componentwise for vectors) within each (source, priority, target) class.
+    cycle-structure check: priority components are kept exactly, weight
+    components are minimized componentwise within each (source, priority
+    components, target) class.
     """
-    if isinstance(alphabet, (Safety,)):
-        return sorted({(u, None, v) for (u, c, v) in raw})
-    if isinstance(alphabet, Parity):
-        return sorted({(u, c, v) for (u, c, v) in raw})
-    if isinstance(alphabet, MeanPayoff):
-        best: dict = {}
-        for u, w, v in raw:
-            key = (u, v)
-            if key not in best or w < best[key]:
-                best[key] = w
-        return sorted((u, w, v) for (u, v), w in best.items())
-    if isinstance(alphabet, ParityOrMeanPayoff):
-        best = {}
-        for u, (p, w), v in raw:
-            key = (u, p, v)
-            if key not in best or w < best[key]:
-                best[key] = w
-        return sorted((u, (p, w), v) for (u, p, v), w in best.items())
-    if isinstance(alphabet, MeanPayoffDisjunction):
-        best = {}
-        for u, vec, v in raw:
-            key = (u, v)
-            cur = best.get(key)
-            best[key] = vec if cur is None else tuple(map(min, cur, vec))
-        return sorted((u, vec, v) for (u, v), vec in best.items())
-    raise InvalidGameError(f"unsupported alphabet {alphabet!r}")
+    exact = [i for i, (kind, _) in enumerate(alphabet.components) if kind == "priority"]
+    best: dict = {}
+    for u, c, v in raw:
+        x = alphabet.values(c)
+        key = (u, tuple(x[i] for i in exact), v)
+        cur = best.get(key)
+        # the priority components agree within a class, so their minimum is
+        # themselves
+        best[key] = x if cur is None else tuple(map(min, cur, x))
+    return sorted((u, alphabet.color(x), v) for (u, _, v), x in best.items())
 
 
 def _reachable(aut: SafetyAutomaton) -> tuple:
@@ -839,14 +818,6 @@ def reachable_state_count(aut: SafetyAutomaton) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _color_str(c: Color) -> str:
-    if c is None:
-        return "ε"
-    if isinstance(c, tuple):
-        return ",".join(str(x) for x in c)
-    return str(c)
-
-
 def automaton_dot(aut: SafetyAutomaton) -> str:
     """Graphviz rendering: states as nodes, transitions as labeled edges.
     Enumerates the reduced outgoing representatives of reachable states."""
@@ -856,7 +827,8 @@ def automaton_dot(aut: SafetyAutomaton) -> str:
         shape = "doublecircle" if q == aut.initial else "circle"
         lines.append(f'  q{q} [label="{aut.label(q)}", shape={shape}];')
     for q, c, t in transitions:
-        lines.append(f'  q{q} -> q{t} [label="{_color_str(c)}"];')
+        label = ",".join(map(str, aut.alphabet.values(c))) or "ε"
+        lines.append(f'  q{q} -> q{t} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -93,58 +94,101 @@ ADAM = Player.ADAM
 # Objective descriptors
 #
 # An objective's parameters are its dataclass fields, in order; ``keyword``
-# names it in the game format and on the command line, and ``random_color``
-# draws a uniform color within its bounds (the random game generator's draws).
+# names it in the game format and on the command line.  Its colors are
+# described once, by ``components``: one ``(kind, bound)`` per component, in
+# order, a "priority" in [0, bound] or a "weight" in [-bound, bound].  The
+# base class derives everything else from that description: the checks,
+# the enumeration, the random draws (the random game generator's) and the
+# conversion between a color and the tuple of its component values.
 # ---------------------------------------------------------------------------
 
 
-def _priority_error(c: Color, max_priority: int) -> Optional[str]:
-    if not isinstance(c, int) or isinstance(c, bool):
-        return f"expected a priority, got {c!r}"
-    if not 0 <= c <= max_priority:
-        return f"priority {c} exceeds d={max_priority}"
+def _component_error(kind: str, bound: int, x) -> Optional[str]:
+    if not isinstance(x, int) or isinstance(x, bool):
+        return f"expected a {kind}, got {x!r}"
+    if kind == "priority" and not 0 <= x <= bound:
+        return f"priority {x} exceeds d={bound}"
+    if kind == "weight" and not -bound <= x <= bound:
+        return f"weight {x} outside [-{bound}, {bound}]"
     return None
 
 
-def _weight_error(c: Color, weight_bound: int) -> Optional[str]:
-    if not isinstance(c, int) or isinstance(c, bool):
-        return f"expected a weight, got {c!r}"
-    if not -weight_bound <= c <= weight_bound:
-        return f"weight {c} outside [-{weight_bound}, {weight_bound}]"
-    return None
+class Objective:
+    """Base of the objective descriptors.  A color is ``None`` when there are
+    no components, the bare int when ``scalar`` is set, and otherwise the
+    tuple of its components.  ``shape`` words the error for a color of the
+    wrong shape, formatted with the objective and the color."""
 
+    keyword: ClassVar[str]
+    scalar: ClassVar[bool] = False
+    shape: ClassVar[str] = ""
 
-@dataclass(frozen=True)
-class Safety:
-    """All infinite plays are fine; only Eve-controlled dead ends lose."""
-
-    keyword: ClassVar[str] = "safety"
+    @property
+    def components(self) -> tuple:
+        raise NotImplementedError
 
     @property
     def color_arity(self) -> int:
-        return 0
+        return len(self.components)
+
+    def values(self, c: Color) -> tuple:
+        """The component values of color ``c``, in order."""
+        if self.scalar:
+            return (c,)
+        return () if c is None else c
+
+    def color(self, values) -> Color:
+        """The color whose component values are ``values``."""
+        if self.scalar:
+            return values[0]
+        return tuple(values) if values else None
 
     def color_error(self, c: Color) -> Optional[str]:
-        if c is not None:
-            return f"safety edges carry no color, got {c!r}"
+        kinds = self.components
+        if self.scalar:
+            return _component_error(*kinds[0], c)
+        # a tuple of one value per component, or None when there are none
+        if not (isinstance(c, tuple) and len(c) == len(kinds) if kinds else c is None):
+            return self.shape.format(self, c)
+        for (kind, bound), x in zip(kinds, c or ()):
+            err = _component_error(kind, bound, x)
+            if err:
+                return err
         return None
+
+    def _ranges(self) -> list:
+        """Each component's values, in order."""
+        return [range(0 if kind == "priority" else -bound, bound + 1) for kind, bound in self.components]
 
     def colors(self) -> Iterator[Color]:
-        yield None
+        ranges = self._ranges()
+        if self.scalar:
+            return iter(ranges[0])
+        return itertools.product(*ranges) if ranges else iter([None])
 
     def random_color(self, rng: random.Random) -> Color:
-        return None
+        return self.color([rng.randint(r[0], r[-1]) for r in self._ranges()])
 
     @property
     def alphabet_size(self) -> int:
-        return 1
+        return math.prod(map(len, self._ranges()))
 
 
 @dataclass(frozen=True)
-class Parity:
+class Safety(Objective):
+    """All infinite plays are fine; only Eve-controlled dead ends lose."""
+
+    keyword: ClassVar[str] = "safety"
+    shape: ClassVar[str] = "safety edges carry no color, got {1!r}"
+    components: ClassVar[tuple] = ()
+
+
+@dataclass(frozen=True)
+class Parity(Objective):
     """Largest priority seen infinitely often must be even (max convention)."""
 
     keyword: ClassVar[str] = "parity"
+    scalar: ClassVar[bool] = True
     max_priority: int
 
     def __post_init__(self) -> None:
@@ -152,28 +196,16 @@ class Parity:
             raise InvalidGameError("max_priority must be >= 0")
 
     @property
-    def color_arity(self) -> int:
-        return 1
-
-    def color_error(self, c: Color) -> Optional[str]:
-        return _priority_error(c, self.max_priority)
-
-    def colors(self) -> Iterator[Color]:
-        return iter(range(self.max_priority + 1))
-
-    def random_color(self, rng: random.Random) -> Color:
-        return rng.randint(0, self.max_priority)
-
-    @property
-    def alphabet_size(self) -> int:
-        return self.max_priority + 1
+    def components(self) -> tuple:
+        return (("priority", self.max_priority),)
 
 
 @dataclass(frozen=True)
-class MeanPayoff:
+class MeanPayoff(Objective):
     """liminf of the average weight must be >= 0; weights in [-N, N]."""
 
     keyword: ClassVar[str] = "mp"
+    scalar: ClassVar[bool] = True
     weight_bound: int
 
     def __post_init__(self) -> None:
@@ -181,29 +213,17 @@ class MeanPayoff:
             raise InvalidGameError("weight_bound must be >= 0")
 
     @property
-    def color_arity(self) -> int:
-        return 1
-
-    def color_error(self, c: Color) -> Optional[str]:
-        return _weight_error(c, self.weight_bound)
-
-    def colors(self) -> Iterator[Color]:
-        return iter(range(-self.weight_bound, self.weight_bound + 1))
-
-    def random_color(self, rng: random.Random) -> Color:
-        return rng.randint(-self.weight_bound, self.weight_bound)
-
-    @property
-    def alphabet_size(self) -> int:
-        return 2 * self.weight_bound + 1
+    def components(self) -> tuple:
+        return (("weight", self.weight_bound),)
 
 
 @dataclass(frozen=True)
-class ParityOrMeanPayoff:
+class ParityOrMeanPayoff(Objective):
     """A play wins if its priorities satisfy parity OR its weights satisfy
     mean payoff; colors are (priority, weight) pairs."""
 
     keyword: ClassVar[str] = "parity-mp"
+    shape: ClassVar[str] = "expected a (priority, weight) pair, got {1!r}"
     max_priority: int
     weight_bound: int
 
@@ -212,39 +232,17 @@ class ParityOrMeanPayoff:
             raise InvalidGameError("bounds must be >= 0")
 
     @property
-    def color_arity(self) -> int:
-        return 2
-
-    def color_error(self, c: Color) -> Optional[str]:
-        if not isinstance(c, tuple) or len(c) != 2:
-            return f"expected a (priority, weight) pair, got {c!r}"
-        p, w = c
-        return _priority_error(p, self.max_priority) or _weight_error(w, self.weight_bound)
-
-    def colors(self) -> Iterator[Color]:
-        return (
-            (p, w)
-            for p in range(self.max_priority + 1)
-            for w in range(-self.weight_bound, self.weight_bound + 1)
-        )
-
-    def random_color(self, rng: random.Random) -> Color:
-        return (
-            rng.randint(0, self.max_priority),
-            rng.randint(-self.weight_bound, self.weight_bound),
-        )
-
-    @property
-    def alphabet_size(self) -> int:
-        return (self.max_priority + 1) * (2 * self.weight_bound + 1)
+    def components(self) -> tuple:
+        return (("priority", self.max_priority), ("weight", self.weight_bound))
 
 
 @dataclass(frozen=True)
-class MeanPayoffDisjunction:
+class MeanPayoffDisjunction(Objective):
     """A play wins if at least one of the d weight components satisfies mean
     payoff; colors are d-vectors of weights."""
 
     keyword: ClassVar[str] = "disj-mp"
+    shape: ClassVar[str] = "expected a weight vector of length {0.dimensions}, got {1!r}"
     dimensions: int
     weight_bound: int
 
@@ -255,33 +253,10 @@ class MeanPayoffDisjunction:
             raise InvalidGameError("weight_bound must be >= 0")
 
     @property
-    def color_arity(self) -> int:
-        return self.dimensions
-
-    def color_error(self, c: Color) -> Optional[str]:
-        if not isinstance(c, tuple) or len(c) != self.dimensions:
-            return f"expected a weight vector of length {self.dimensions}, got {c!r}"
-        for w in c:
-            err = _weight_error(w, self.weight_bound)
-            if err:
-                return err
-        return None
-
-    def colors(self) -> Iterator[Color]:
-        rng = range(-self.weight_bound, self.weight_bound + 1)
-        return itertools.product(*[rng] * self.dimensions)
-
-    def random_color(self, rng: random.Random) -> Color:
-        return tuple(
-            rng.randint(-self.weight_bound, self.weight_bound) for _ in range(self.dimensions)
-        )
-
-    @property
-    def alphabet_size(self) -> int:
-        return (2 * self.weight_bound + 1) ** self.dimensions
+    def components(self) -> tuple:
+        return (("weight", self.weight_bound),) * self.dimensions
 
 
-Objective = Union[Safety, Parity, MeanPayoff, ParityOrMeanPayoff, MeanPayoffDisjunction]
 OBJECTIVES = {
     cls.keyword: cls for cls in (Safety, Parity, MeanPayoff, ParityOrMeanPayoff, MeanPayoffDisjunction)
 }
@@ -717,22 +692,22 @@ def find_negative_cycle(graph: Graph, dimension: Optional[int] = None) -> Option
         verts = sorted(comp)
         dist = {v: 0 for v in verts}
         pred: dict[int, Edge] = {}
-        changed = False
         for _ in range(len(verts)):
-            changed = False
+            x = None  # the last vertex relaxed in this pass
             for e in internal:
                 u, c, v = e
                 cand = dist[u] + wt(c)
                 if cand < dist[v]:
                     dist[v] = cand
                     pred[v] = e
-                    changed = True
-            if not changed:
+                    x = v
+            if x is None:
                 break
-        if not changed:
+        if x is None:
             continue
-        # walk predecessors far enough to land on the cycle, then collect it
-        x = next(v for v in verts if v in pred)
+        # x was relaxed in the last pass, so walking its predecessors far
+        # enough lands on a negative cycle (a vertex relaxed earlier may lead
+        # back to one never relaxed); then collect the cycle
         for _ in range(len(verts)):
             x = pred[x][0]
         cycle_edges = []

@@ -43,7 +43,6 @@ from .core import (
     EVE,
     OBJECTIVES,
     AlphabetMismatchError,
-    Color,
     Game,
     Graph,
     GuardExceededError,
@@ -175,6 +174,7 @@ def parse_game(text: str) -> Game:
         owners.append(EVE if tok == "E" else ADAM)
 
     arity = objective.color_arity
+    color_of = objective.color
     edges = []
     seen = set()
     # each distinct color's error, checked once: the colors are plain ints
@@ -189,27 +189,21 @@ def parse_game(text: str) -> Game:
         dst, dl, dc = toks.integer("a target vertex id")
         if not 0 <= dst < n:
             raise ParseError(f"target id {dst} out of range [0, {n})", dl, dc)
-        components = []
+        first = toks.pos  # the color's first token
+        values = []
         for i in range(arity):
             nxt, el, ec = toks.peek()
             if nxt == "edge" or toks.done():
                 raise ParseError(
                     f"edge color needs {arity} component(s) for objective '{kw}', got {i}", el, ec
                 )
-            w, wl, wc = toks.integer(f"color component {i + 1}")
-            components.append((w, wl, wc))
-        color: Color
-        if arity == 0:
-            color = None
-        elif isinstance(objective, (Parity, MeanPayoff)):
-            color = components[0][0]
-        else:
-            color = tuple(w for (w, _, _) in components)
+            values.append(toks.integer(f"color component {i + 1}")[0])
+        color = color_of(values)
         if color not in errors:
             errors[color] = objective.color_error(color)
         err = errors[color]
         if err:
-            _, el, ec = components[0] if components else (None, ln, col)
+            _, el, ec = toks.items[first] if arity else (None, ln, col)
             raise ParseError(err, el, ec)
         triple = (src, color, dst)
         if triple in seen:
@@ -227,12 +221,7 @@ def print_game(game: Game) -> str:
     for v in range(game.vertex_count):
         lines.append(f"vertex {v} {game.owner[v].value}")
     for u, c, v in game.graph.edges:
-        if c is None:
-            lines.append(f"edge {u} {v}")
-        elif isinstance(c, tuple):
-            lines.append(f"edge {u} {v} " + " ".join(str(x) for x in c))
-        else:
-            lines.append(f"edge {u} {v} {c}")
+        lines.append(" ".join(["edge", str(u), str(v), *map(str, game.objective.values(c))]))
     return "\n".join(lines) + "\n"
 
 

@@ -37,13 +37,35 @@ __all__ = [
 ]
 
 
+def _capacities(n: int) -> list:
+    """The capacities that halving reaches from n, n included, in increasing
+    order: each step takes m to m // 2 and m - 1 - m // 2, so it adds at
+    most two new ones."""
+    caps, new = {n}, {n}
+    while new:
+        new = {c for m in new if m > 0 for c in (m // 2, m - 1 - m // 2)} - caps
+        caps |= new
+    return sorted(caps)
+
+
 @lru_cache(maxsize=None)
+def _leaf_counts(n: int, h: int) -> tuple:
+    """Per height g = 0..h, the leaf count of the tree for each capacity of
+    ``_capacities(n)`` and height g, filled bottom-up over the heights by
+    the halving recursion: L(m, g) = L(m // 2, g) + L(m, g - 1) +
+    L(m - 1 - m // 2, g), 1 at height 0, and 0 for m <= 0."""
+    caps = _capacities(n)
+    rows = [{m: int(m > 0) for m in caps}]
+    for _ in range(h):
+        row: dict = {}
+        for m in caps:  # increasing, so both halves come first
+            row[m] = row[m // 2] + rows[-1][m] + row[m - 1 - m // 2] if m > 0 else 0
+        rows.append(row)
+    return tuple(rows)
+
+
 def _leaf_count(n: int, h: int) -> int:
-    if n <= 0:
-        return 0
-    if h == 0:
-        return 1
-    return _leaf_count(n // 2, h) + _leaf_count(n, h - 1) + _leaf_count(n - 1 - n // 2, h)
+    return _leaf_counts(n, h)[h][n]
 
 
 @lru_cache(maxsize=None)
@@ -51,29 +73,32 @@ def _node_starts(n: int, h: int) -> tuple:
     """First leaves of the nodes of levels 1..h of the tree for capacity n and
     height h, one sorted read-only int64 memoryview per level (bisect reads
     Python ints from it, numpy reads it without a copy).  Memoized for the
-    trees asked for only: the subtrees that ``_level_starts`` visits share a
-    memo that lives for one build."""
-    return tuple(memoryview(s).toreadonly() for s in _level_starts(n, h, {}))
+    trees asked for only.
 
-
-def _level_starts(n: int, h: int, memo: dict) -> list:
-    """``_node_starts`` as int64 arrays, by halving: level l of the tree is
-    level l of the tree for n // 2, then level l of the tree for height
-    h - 1, then level l of the tree for n - 1 - n // 2, each shifted past
-    the leaves before it; level h is the root alone."""
-    if (n, h) not in memo:
-        if n <= 0:
-            levels = [np.zeros(0, dtype=np.int64)] * h
-        elif h == 0:
-            levels = []
-        else:
-            left, middle, right = (_level_starts(*key, memo) for key in ((n // 2, h), (n, h - 1), (n - 1 - n // 2, h)))
-            shift = _leaf_count(n // 2, h)
-            past = shift + _leaf_count(n, h - 1)
-            levels = [np.concatenate((a, b + shift, c + past)) for a, b, c in zip(left, middle, right)]
-            levels.append(np.zeros(1, dtype=np.int64))
-        memo[n, h] = levels
-    return memo[n, h]
+    Built from the root down.  The children of a node of capacity m > 0 are
+    the nodes one level lower for the capacities K(m) = K(m // 2), m,
+    K(m - 1 - m // 2), in order (K(m) = () for m <= 0), and a level's first
+    leaves are the running sums of its nodes' leaf counts."""
+    caps = _capacities(n)
+    kids: dict = {}  # capacity -> K(capacity), as indices into caps
+    for i, m in enumerate(caps):  # increasing, so both halves come first
+        kids[m] = np.concatenate((kids[m // 2], [i], kids[m - 1 - m // 2])) if m > 0 else np.zeros(0, np.int64)
+    sizes = np.array([len(kids[m]) for m in caps])
+    offsets = np.cumsum(sizes) - sizes
+    flat = np.concatenate([kids[m] for m in caps])
+    counts = _leaf_counts(n, h)
+    # the capacities of the current level's nodes, as indices into caps: the
+    # root's is n, the largest
+    level = np.array([len(caps) - 1] if n > 0 else [], dtype=np.int64)
+    starts = []
+    for g in range(h, 0, -1):
+        if g < h and len(level):  # the children of the level above
+            size = sizes[level]
+            ends = np.cumsum(size)
+            level = flat[np.arange(ends[-1]) + np.repeat(offsets[level] - ends + size, size)]
+        leaves = np.fromiter((counts[g][m] for m in caps), dtype=np.int64, count=len(caps))[level]
+        starts.append(np.cumsum(leaves) - leaves)
+    return tuple(memoryview(s).toreadonly() for s in reversed(starts))
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,7 +113,8 @@ class UniversalTree:
     left to right, and a node is known by its first leaf: ``levels[l]`` holds
     the sorted first leaves of the nodes ``l`` levels above the leaves, so a
     leaf's ancestor there is found by bisection.  The leaf count comes from
-    the same recursion on integers; the levels are built on first use.
+    the same recursion on integers, filled bottom-up; the levels are built
+    on first use, from the root down.
     """
 
     capacity: int

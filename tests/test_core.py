@@ -279,6 +279,14 @@ def test_zero_cycle_is_not_negative():
     assert find_negative_cycle(Graph(1, [(0, 0, 0)])) is None
 
 
+def test_negative_cycle_walk_starts_from_the_last_relaxed_vertex():
+    # the first pass relaxes 1 (its loop) and then 0 (from 2, never relaxed
+    # itself): walking back from 0 would leave the predecessor map at 2
+    g = Graph(3, [(0, 0, 1), (1, -1, 1), (1, 3, 2), (2, -1, 0)])
+    cycle = find_negative_cycle(g)
+    assert cycle is not None and cycle.vertices == (1, 1) and cycle.colors == (-1,)
+
+
 def test_first_negative_cycle_is_the_self_loop():
     # 2-cycle of total +2 plus a separate -2 self-loop; the simple-cycle
     # oracle confirms the loop is the only negative cycle

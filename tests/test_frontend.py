@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import refs
 from conftest import random_objective
 from sepgames import (
     ADAM,
@@ -433,6 +434,34 @@ def test_cli_automaton_stats_and_dot():
         code, out, err = _run_cli(["automaton"] + argv)
         assert code == 3 and out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_cli_solves_games_with_trees_taller_than_the_recursion_limit(tmp_path):
+    # the parity separator's tree has height ceil(d/2): 500 and 2501 here
+    games = {
+        "tall-2.txt": "objective parity 1000\nvertices 2\nvertex 0 E\nvertex 1 A\n"
+        "edge 0 1 999\nedge 1 0 1000\n",
+        "tall-3.txt": "objective parity 5001\nvertices 3\nvertex 0 E\nvertex 1 A\nvertex 2 E\n"
+        "edge 0 1 5001\nedge 0 0 5000\nedge 1 0 4999\nedge 1 2 3\nedge 2 2 5001\n",
+    }
+    for name, body in games.items():
+        f = tmp_path / name
+        f.write_text("sepgame 1\n" + body)
+        code, out, err = _run_cli(["solve", "--input", str(f), "--from", "0", "--region"])
+        region = refs.zielonka_region(parse_game(f.read_text()))
+        assert code == 0 and err == "", (name, err)
+        assert out.splitlines() == ["WIN" if 0 in region else "LOSE", "region: " + " ".join(map(str, sorted(region)))]
+
+
+def test_cli_automaton_stats_with_trees_taller_than_the_recursion_limit():
+    code, out, err = _run_cli(["automaton", "--objective", "parity", "--n", "10", "--d", "5000", "--emit", "stats"])
+    assert code == 0 and err == ""
+    assert out.splitlines()[:2] == ["states: 7834387501", "alphabet_size: 5001"]
+    code, out, err = _run_cli(
+        ["automaton", "--objective", "parity-mp", "--n", "10", "--d", "5000", "--N", "2", "--emit", "stats"]
+    )
+    # (d+1) * |parity states| * |counter states| = 5001 * 7834387501 * 19
+    assert code == 0 and err == "" and out.splitlines()[0] == f"states: {5001 * 7834387501 * 19}"
 
 
 def test_cli_generate_writes_parseable_output(tmp_path):
